@@ -16,26 +16,23 @@ from .basis import (
     StepFunction,
     TabulatedFunction,
     build_spline_basis,
-    dump_tabulation_cache,
     eval_decomposition,
     eval_reconstruction,
     haar_basis,
-    load_spline_basis,
     spline_basis,
     sup_norm,
     support_interval,
 )
 from .estimator import (
+    CoefficientTable,
     DensityEstimate,
-    EmpiricalCoefficient,
     EstimatorConfig,
     KeptCoefficient,
     Mode,
     Sample,
     besov_seminorm,
-    empirical_coefficients,
+    coefficient_table,
     estimate,
-    evaluate,
     oracle_estimate,
     practical,
     practical_gamma,

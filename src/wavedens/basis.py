@@ -33,8 +33,6 @@ __all__ = [
     "eval_reconstruction",
     "sup_norm",
     "support_interval",
-    "dump_tabulation_cache",
-    "load_spline_basis",
 ]
 
 DEFAULT_GRID_EXPONENT = 12
@@ -168,7 +166,7 @@ class BiorthogonalBasis:
     """The four-function family: analysis pair (phi, psi), synthesis pair
     (phi_tilde, psi_tilde), plus the vanishing-moment order parameter ``r``.
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction; safe to share.
     """
 
     name: str
@@ -318,30 +316,28 @@ def _check_level(idx: CoefficientIndex) -> CoefficientIndex:
     return idx
 
 
-def eval_decomposition(basis: BiorthogonalBasis, idx, x):
-    """Analysis-side evaluation: ``phi(x - k)`` at level -1, else
-    ``2**(j/2) * psi(2**j x - k)``.  Exact step-function lookup."""
+def _eval_dilated(father, mother, idx, x):
+    """``father(x - k)`` at level -1, else ``2**(j/2) * mother(2**j x - k)``."""
     j, k = _check_level(idx)
     scalar = np.isscalar(x)
     xv = np.asarray(x, dtype=float)
     if j == -1:
-        out = basis.phi.eval(xv - k)
+        out = father.eval(xv - k)
     else:
-        out = (2.0 ** (j / 2.0)) * basis.psi.eval((2.0 ** j) * xv - k)
+        out = (2.0 ** (j / 2.0)) * mother.eval((2.0 ** j) * xv - k)
     return float(out) if scalar else out
+
+
+def eval_decomposition(basis: BiorthogonalBasis, idx, x):
+    """Analysis-side evaluation: ``phi(x - k)`` at level -1, else
+    ``2**(j/2) * psi(2**j x - k)``.  Exact step-function lookup."""
+    return _eval_dilated(basis.phi, basis.psi, idx, x)
 
 
 def eval_reconstruction(basis: BiorthogonalBasis, idx, x):
     """Synthesis-side evaluation via the dual functions (tabulated lookup
     with linear interpolation for the spline pair, exact for Haar)."""
-    j, k = _check_level(idx)
-    scalar = np.isscalar(x)
-    xv = np.asarray(x, dtype=float)
-    if j == -1:
-        out = basis.phi_tilde.eval(xv - k)
-    else:
-        out = (2.0 ** (j / 2.0)) * basis.psi_tilde.eval((2.0 ** j) * xv - k)
-    return float(out) if scalar else out
+    return _eval_dilated(basis.phi_tilde, basis.psi_tilde, idx, x)
 
 
 def sup_norm(basis: BiorthogonalBasis, idx) -> float:
@@ -371,48 +367,3 @@ def reconstruction_support(basis: BiorthogonalBasis, idx) -> tuple[float, float]
         return a + k, b + k
     scale = 2.0 ** -j
     return (a + k) * scale, (b + k) * scale
-
-
-_CACHE_HEADER = "wavedens-tabulation-v1"
-
-
-def dump_tabulation_cache(basis: BiorthogonalBasis, path) -> None:
-    """Write the synthesis-side tabulations to a versioned text cache.
-
-    Only meaningful for the spline pair; lets callers skip the cascade on
-    subsequent runs.
-    """
-    if not isinstance(basis.phi_tilde, TabulatedFunction):
-        raise ValueError("basis carries no tabulated synthesis functions")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_CACHE_HEADER}\n")
-        fh.write(f"name={basis.name} grid_exponent={basis.phi_tilde.grid_exponent} "
-                 f"r={basis.r!r}\n")
-        for label in ("phi_tilde", "psi_tilde"):
-            fn: TabulatedFunction = getattr(basis, label)
-            fh.write(f"function={label} lo={fn.lo!r} hi={fn.hi!r} n={len(fn.samples)}\n")
-            for v in fn.samples:
-                fh.write(f"{float(v)!r}\n")
-
-
-def load_spline_basis(path) -> BiorthogonalBasis:
-    """Rebuild the spline pair from a tabulation cache written by
-    :func:`dump_tabulation_cache` (analysis side re-derived from the filter)."""
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != _CACHE_HEADER:
-            raise ValueError(f"unrecognized cache header {header!r}")
-        meta = dict(kv.split("=") for kv in fh.readline().split())
-        grid_exponent = int(meta["grid_exponent"])
-        r = float(meta["r"])
-        parts = {}
-        for _ in range(2):
-            fields = dict(kv.split("=") for kv in fh.readline().split())
-            n = int(fields["n"])
-            samples = np.array([float(fh.readline()) for _ in range(n)])
-            parts[fields["function"]] = TabulatedFunction(
-                float(fields["lo"]), float(fields["hi"]), grid_exponent, samples)
-    phi = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
-    return BiorthogonalBasis(name=meta["name"], phi=phi, psi=_analysis_wavelet(),
-                             phi_tilde=parts["phi_tilde"],
-                             psi_tilde=parts["psi_tilde"], r=r)

@@ -161,7 +161,7 @@ def run_calibrate(params: dict, outdir: Path) -> None:
         for g in params["gammas"]
     ]
     reports = mise_sweep(signal, params["n"], methods, params["reps"],
-                         params["seed"], workers=params["workers"])
+                         params["seed"])
     outputs = []
     for g, report in zip(params["gammas"], reports):
         name = f"replications_gamma_{g:g}.csv"
@@ -183,7 +183,7 @@ def run_bench(params: dict, outdir: Path) -> None:
         raise CliError(str(exc)) from None
     sweep = support_sweep if params["sweep"] == "support" else tail_sweep
     reports = sweep(params["values"], params["n"], methods, params["reps"],
-                    params["seed"], workers=params["workers"])
+                    params["seed"])
     outputs = []
     for report in reports:
         name = (f"replications_{_safe(report.method_id)}_"
@@ -274,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="start:stop:step range or comma list")
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("-o", "--outdir", default=None)
 
     p = sub.add_parser("bench", help="support/tail robustness sweep")
@@ -286,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("-o", "--outdir", default=None)
 
     p = sub.add_parser("sample", help="draw a seeded sample from a signal")
@@ -316,7 +314,7 @@ def _params_from_args(args) -> dict:
             "signal": args.signal, "mu": args.mu, "sigma": args.sigma,
             "d": args.d, "df": args.df, "basis": args.basis, "n": args.n,
             "gammas": _parse_gammas(args.gammas), "reps": args.reps,
-            "seed": args.seed, "workers": args.workers,
+            "seed": args.seed,
         }
     if args.command == "bench":
         return {
@@ -324,7 +322,6 @@ def _params_from_args(args) -> dict:
             "values": [float(v) for v in args.values.split(",") if v],
             "methods": [m for m in args.methods.split(",") if m],
             "n": args.n, "reps": args.reps, "seed": args.seed,
-            "workers": args.workers,
         }
     if args.command == "sample":
         return {

@@ -13,16 +13,17 @@ Three threshold rules are provided:
 * ``practical-gamma``    -- sqrt(2 g s^2 L/n) + 2 g S L / (3n)
 * ``theoretical-gamma``  -- same shape but with the variance estimate
   inflated to s~^2 = s^2 + 2 S sqrt(2 g s^2 L/n) + 8 g S^2 L/n,
-  giving sqrt(2 g s~^2 L/n) + 2 S g L / (3n)
+  giving sqrt(2 g s~^2 L/n) + 2 g S L / (3n)
 
 with ``s^2`` the unbiased variance estimate of the coefficient's summands,
 ``S`` the sup norm of the analysis function, ``L = ln n`` and ``g`` the
-tuning constant.  ``practical`` is exactly ``practical-gamma`` at g = 1.
+tuning constant.  ``practical`` is ``practical-gamma`` at g = 1, and a
+``practical`` mode with any other g is rejected.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -34,6 +35,7 @@ from .basis import (
     CoefficientIndex,
     basis_by_name,
     reconstruction_support,
+    sup_norm,
 )
 
 __all__ = [
@@ -43,15 +45,14 @@ __all__ = [
     "practical_gamma",
     "theoretical_gamma",
     "EstimatorConfig",
-    "EmpiricalCoefficient",
+    "CoefficientTable",
     "KeptCoefficient",
     "DensityEstimate",
-    "empirical_coefficients",
+    "coefficient_table",
     "variance_hat",
     "variance_tilde",
     "threshold",
     "estimate",
-    "evaluate",
     "oracle_estimate",
     "besov_seminorm",
     "estimate_from_json_dict",
@@ -104,6 +105,9 @@ class Mode:
             raise ValueError(f"unknown mode kind {self.kind!r}")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
+        if self.kind == "practical" and self.gamma != 1.0:
+            raise ValueError("the practical rule has gamma = 1; "
+                             "use practical-gamma for another gamma")
         if self.kind == "theoretical-gamma" and self.c < 1:
             raise ValueError("c must be >= 1")
 
@@ -112,13 +116,6 @@ class Mode:
         """Practical reconstructions are clipped at zero; the theoretical
         rule keeps the raw signed reconstruction."""
         return self.kind != "theoretical-gamma"
-
-    def label(self) -> str:
-        if self.kind == "practical":
-            return "practical"
-        if self.kind == "practical-gamma":
-            return f"practical-gamma({self.gamma:g})"
-        return f"theoretical-gamma({self.gamma:g},c={self.c:g},c'={self.c_prime:g})"
 
 
 def practical() -> Mode:
@@ -148,20 +145,6 @@ class EstimatorConfig:
             value = (n ** self.mode.c) * math.log(n) ** self.mode.c_prime
             return int(math.floor(math.log2(value)))
         return int(math.floor(math.log2(n)))
-
-
-@dataclass(frozen=True)
-class EmpiricalCoefficient:
-    """One materialized cell: empirical coefficient, variance estimates,
-    support statistics and the threshold it was compared against."""
-
-    idx: CoefficientIndex
-    beta_hat: float
-    sigma_hat_sq: float
-    psi_sup_norm: float
-    n_jk: int
-    threshold: float
-    sigma_tilde_sq: Optional[float] = None
 
 
 class KeptCoefficient(NamedTuple):
@@ -208,22 +191,21 @@ def variance_tilde(sigma_hat_sq, psi_sup, n, gamma):
 def _threshold_value(sigma_hat_sq, psi_sup, n, mode: Mode):
     """Elementwise threshold; identical expression shape for scalars and
     arrays so stored and re-derived values agree bitwise."""
-    lnn = np.log(n)
+    g = mode.gamma
+    s2 = sigma_hat_sq
     if mode.kind == "theoretical-gamma":
-        g = mode.gamma
         s2 = variance_tilde(sigma_hat_sq, psi_sup, n, g)
-        return (np.sqrt(2.0 * g * s2 * lnn / n)
-                + 2.0 * psi_sup * g * lnn / (3.0 * n))
-    g = 1.0 if mode.kind == "practical" else mode.gamma
-    return (np.sqrt(2.0 * g * sigma_hat_sq * lnn / n)
+    lnn = np.log(n)
+    return (np.sqrt(2.0 * g * s2 * lnn / n)
             + 2.0 * g * psi_sup * lnn / (3.0 * n))
 
 
-def threshold(coeff: EmpiricalCoefficient, n, mode: Mode) -> float:
-    """Threshold for one cell under the given rule."""
+def threshold(cell, n, mode: Mode) -> float:
+    """Threshold for one cell under the given rule; ``cell`` is any object
+    with ``sigma_hat_sq`` and ``psi_sup_norm`` attributes."""
     if np.any(np.asarray(n) < 2):
         raise ValueError("need n >= 2")
-    return float(_threshold_value(coeff.sigma_hat_sq, coeff.psi_sup_norm, n, mode))
+    return float(_threshold_value(cell.sigma_hat_sq, cell.psi_sup_norm, n, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +242,7 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
         piece = np.clip(piece, 0, len(vals) - 1)
         k_parts.append((base[inside] + c).astype(np.int64))
         v_parts.append(amp * vals[piece])
-    if not k_parts:
-        return (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
-                np.empty(0, dtype=np.int64))
+    # b - a >= 1: every observation lands in some translate
     ks = np.concatenate(k_parts)
     vs = np.concatenate(v_parts)
     # compact the touched translates before aggregating: memory stays O(n)
@@ -274,54 +254,68 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
     return k_out, s1, s2, njk
 
 
-def _coefficient_table(sample: Sample, config: EstimatorConfig):
-    """Per-level arrays (j, ks, beta_hat, sigma_hat_sq, njk, sup, eta)."""
+@dataclass(frozen=True)
+class CoefficientTable:
+    """Every nonzero empirical cell of levels -1..j0, sorted by (j, k).
+
+    Equal-length columns: level ``j``, translate ``k``, coefficient
+    ``beta_hat``, unbiased summand variance ``sigma_hat_sq``, observation
+    count ``n_jk`` in the closed analysis support, analysis sup norm
+    ``sup``, threshold ``eta`` and the keep mask ``kept`` (|beta_hat| >= eta).
+    """
+
+    j: np.ndarray
+    k: np.ndarray
+    beta_hat: np.ndarray
+    sigma_hat_sq: np.ndarray
+    n_jk: np.ndarray
+    sup: np.ndarray
+    eta: np.ndarray
+    kept: np.ndarray
+    j0: int
+
+    def __len__(self) -> int:
+        return len(self.j)
+
+
+def coefficient_table(sample: Sample, config: EstimatorConfig) -> CoefficientTable:
+    """Scan levels -1..j0 and threshold every nonzero empirical coefficient.
+
+    At each level exactly the translates whose analysis support meets the
+    data are visited; cells whose coefficient is exactly zero are dropped.
+    Raises ``ValueError`` when ``2**max(j0, 0) * max|x|`` reaches 2^52,
+    where floor() and the int64 translate index stop being exact.
+    """
     x = sample.observations
     n = sample.n
     j0 = config.j0(n)
-    out = []
-    for j in range(-1, j0 + 1):
-        ks, s1, s2, njk = _level_stats(x, config.basis, j)
+    max_abs = max(abs(float(x[0])), abs(float(x[-1])))
+    if max_abs >= math.ldexp(1.0, 52 - max(j0, 0)):
+        raise ValueError(f"2^{max(j0, 0)} * max|x| = 2^{max(j0, 0)} * "
+                         f"{max_abs!r} reaches 2^52; rescale the data "
+                         f"or lower j0")
+    parts = []
+    for level in range(-1, j0 + 1):
+        ks, s1, s2, njk = _level_stats(x, config.basis, level)
         nonzero = s1 != 0.0
-        if not np.any(nonzero):
-            continue
-        ks, s1, s2, njk = ks[nonzero], s1[nonzero], s2[nonzero], njk[nonzero]
-        beta = s1 / n
-        sig = np.maximum(0.0, (s2 - s1 * s1 / n) / (n - 1))
-        if j == -1:
-            sup = config.basis.phi.sup_norm
-        else:
-            sup = (2.0 ** (j / 2.0)) * config.basis.psi.sup_norm
-        eta = _threshold_value(sig, sup, n, config.mode)
-        out.append((j, ks, beta, sig, njk, sup, eta))
-    return out, j0
-
-
-def empirical_coefficients(sample: Sample,
-                           config: EstimatorConfig) -> list[EmpiricalCoefficient]:
-    """Materialize every nonzero empirical coefficient up to level j0.
-
-    For each level, exactly the translates whose analysis support meets the
-    data range are scanned; cells with a coefficient of exactly zero are
-    skipped.  Output is sorted by (level, translate).
-    """
-    table, _ = _coefficient_table(sample, config)
-    n = sample.n
-    rows = []
-    for j, ks, beta, sig, njk, sup, eta in table:
-        tilde = (variance_tilde(sig, sup, n, config.mode.gamma)
-                 if config.mode.kind == "theoretical-gamma" else None)
-        for i in range(len(ks)):
-            rows.append(EmpiricalCoefficient(
-                idx=CoefficientIndex(j, int(ks[i])),
-                beta_hat=float(beta[i]),
-                sigma_hat_sq=float(sig[i]),
-                psi_sup_norm=float(sup),
-                n_jk=int(njk[i]),
-                threshold=float(eta[i]),
-                sigma_tilde_sq=None if tilde is None else float(tilde[i]),
-            ))
-    return rows
+        s1 = s1[nonzero]
+        parts.append((np.full(len(s1), level, dtype=np.int64), ks[nonzero],
+                      s1 / n,
+                      np.maximum(0.0, (s2[nonzero] - s1 * s1 / n) / (n - 1)),
+                      njk[nonzero],
+                      np.full(len(s1), sup_norm(config.basis, (level, 0)))))
+    if not parts:  # j0 < -1: nothing to scan
+        parts = [(np.empty(0, dtype=np.int64),) * 6]
+    # join one column at a time and drop its level pieces right away, so
+    # the peak holds one copy of the table rather than two
+    columns = [list(col) for col in zip(*parts)]
+    del parts
+    j, ks, beta, sig, njk, sup = [np.concatenate(columns.pop(0))
+                                  for _ in range(6)]
+    eta = _threshold_value(sig, sup, n, config.mode)
+    return CoefficientTable(j=j, k=ks, beta_hat=beta, sigma_hat_sq=sig,
+                            n_jk=njk, sup=sup, eta=eta,
+                            kept=np.abs(beta) >= eta, j0=j0)
 
 
 @dataclass(frozen=True)
@@ -391,9 +385,6 @@ class DensityEstimate:
                      for row in self.kept],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def estimate_from_json_dict(doc: dict,
                             basis: Optional[BiorthogonalBasis] = None) -> DensityEstimate:
@@ -409,6 +400,13 @@ def estimate_from_json_dict(doc: dict,
                            n=int(doc["n"]), mode=mode, j0=int(doc["j0"]))
 
 
+def _kept_rows(table: CoefficientTable, mask, thresholds) -> tuple:
+    """(j, k, beta_hat, threshold) rows of the masked cells, in (j, k) order."""
+    return tuple(map(KeptCoefficient, table.j[mask].tolist(),
+                     table.k[mask].tolist(), table.beta_hat[mask].tolist(),
+                     thresholds))
+
+
 def estimate(sample: Sample, config: EstimatorConfig) -> DensityEstimate:
     """Run the full keep-or-kill procedure.
 
@@ -417,21 +415,11 @@ def estimate(sample: Sample, config: EstimatorConfig) -> DensityEstimate:
     packaged for reconstruction through the synthesis side.  Deterministic
     given (sample, config).
     """
-    table, j0 = _coefficient_table(sample, config)
-    kept = []
-    for j, ks, beta, sig, njk, sup, eta in table:
-        survive = np.abs(beta) >= eta
-        for i in np.nonzero(survive)[0]:
-            kept.append(KeptCoefficient(j, int(ks[i]), float(beta[i]),
-                                        float(eta[i])))
-    return DensityEstimate(kept=tuple(kept), basis=config.basis,
+    table = coefficient_table(sample, config)
+    kept = _kept_rows(table, table.kept, table.eta[table.kept].tolist())
+    return DensityEstimate(kept=kept, basis=config.basis,
                            positive_part=config.mode.positive_part,
-                           n=sample.n, mode=config.mode, j0=j0)
-
-
-def evaluate(est: DensityEstimate, grid) -> np.ndarray:
-    """Module-level alias for :meth:`DensityEstimate.evaluate`."""
-    return est.evaluate(grid)
+                           n=sample.n, mode=config.mode, j0=table.j0)
 
 
 def oracle_estimate(sample: Sample, signal, config: EstimatorConfig) -> DensityEstimate:
@@ -439,22 +427,23 @@ def oracle_estimate(sample: Sample, signal, config: EstimatorConfig) -> DensityE
     beats its own sampling noise: keep ``beta_hat`` iff
     ``beta^2 > sigma^2 / n`` with true beta and sigma from the signal.
 
-    Uses the same materialized cell set as the data-driven path (cells with
-    an exactly-zero empirical coefficient would contribute nothing).  Not a
+    Uses the same cell table as the data-driven path (cells with an
+    exactly-zero empirical coefficient would contribute nothing).  Not a
     realizable estimator; benchmark only.
     """
     from .signals import true_level_values
 
-    table, j0 = _coefficient_table(sample, config)
-    n = sample.n
-    kept = []
-    for j, ks, beta_hat, _sig, _njk, _sup, _eta in table:
-        beta_true, sigma_sq_true = true_level_values(signal, config.basis, j, ks)
-        survive = beta_true ** 2 > sigma_sq_true / n
-        for i in np.nonzero(survive)[0]:
-            kept.append(KeptCoefficient(j, int(ks[i]), float(beta_hat[i]), 0.0))
-    return DensityEstimate(kept=tuple(kept), basis=config.basis,
-                           positive_part=False, n=n, mode=config.mode, j0=j0)
+    table = coefficient_table(sample, config)
+    beta_true = np.empty(len(table))
+    sigma_sq_true = np.empty(len(table))
+    for level in np.unique(table.j).tolist():
+        at = table.j == level
+        beta_true[at], sigma_sq_true[at] = true_level_values(
+            signal, config.basis, level, table.k[at])
+    survive = beta_true ** 2 > sigma_sq_true / sample.n
+    kept = _kept_rows(table, survive, itertools.repeat(0.0))
+    return DensityEstimate(kept=kept, basis=config.basis, positive_part=False,
+                           n=sample.n, mode=config.mode, j0=table.j0)
 
 
 def besov_seminorm(coeffs: Mapping, alpha: float, p: float, q: float) -> float:

@@ -85,10 +85,15 @@ def lscv_score(sample: Sample, h: float) -> float:
 
 def fit_kernel(sample: Sample) -> KernelEstimate:
     """Select the bandwidth minimizing the cross-validation score over the
-    fixed grid; on exact ties the larger bandwidth wins."""
-    hs = bandwidth_grid(sample)
-    d2 = _pairwise_sq_diffs(sample.observations)
-    scores = np.array([_lscv_from_sq_diffs(d2, sample.n, h) for h in hs])
+    fixed grid; on exact ties the larger bandwidth wins.  A non-finite
+    score (the data span overflows float64) raises ``ValueError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs = bandwidth_grid(sample)
+        d2 = _pairwise_sq_diffs(sample.observations)
+        scores = np.array([_lscv_from_sq_diffs(d2, sample.n, h) for h in hs])
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("cross-validation score is not finite; the data "
+                         "span overflows float64 arithmetic")
     best = len(scores) - 1 - int(np.argmin(scores[::-1]))
     return KernelEstimate(sample=sample, bandwidth=float(hs[best]),
                           cv_scores=tuple(zip(map(float, hs), map(float, scores))))

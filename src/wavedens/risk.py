@@ -5,15 +5,14 @@ trapezoidal integral of the squared difference on a uniform grid, plus an
 analytic remainder for the squared-density mass outside the grid.  Sweeps
 run seeded replications: replication ``i`` of a study with master seed
 ``s`` always draws from the generator seeded by ``(s, i)``, so results are
-bit-identical regardless of execution order or worker count, and every
-method inside a replication sees the identical sample.
+bit-identical regardless of execution order, and every method inside a
+replication sees the identical sample.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -208,21 +207,14 @@ def replication_seed(master_seed: int, rep: int) -> np.random.SeedSequence:
 def _run_replication(signal, n, methods, master_seed, rep, step, base_interval):
     """One replication: one shared sample, one ISE per method."""
     sample = signal.sample(replication_seed(master_seed, rep), n)
-    estimates = []
-    configs = {}
+    out = []
     for m in methods:
         if m.kind == "wavelet":
-            cfg = configs.get((m.basis_name, m.mode))
-            if cfg is None:
-                cfg = m.config()
-                configs[(m.basis_name, m.mode)] = cfg
-            estimates.append(estimate(sample, cfg))
+            est = estimate(sample, m.config())
         elif m.kind == "kernel":
-            estimates.append(kernel_mod.fit_kernel(sample))
+            est = kernel_mod.fit_kernel(sample)
         else:
             raise ValueError(f"unknown method kind {m.kind!r}")
-    out = []
-    for est in estimates:
         grid = default_grid(signal, [est], step=step, base_interval=base_interval)
         out.append(ise(est, signal, grid))
     return out
@@ -231,30 +223,20 @@ def _run_replication(signal, n, methods, master_seed, rep, step, base_interval):
 def mise_sweep(signal: TestSignal, n: int, methods: Sequence[MethodSpec],
                replications: int, master_seed: int, *,
                step: float = DEFAULT_GRID_STEP,
-               base_interval: Optional[tuple[float, float]] = None,
-               workers: int = 1) -> list[RiskReport]:
+               base_interval: Optional[tuple[float, float]] = None) -> list[RiskReport]:
     """Seeded Monte-Carlo risk study: one report per method.
 
     Within a replication every method is fitted on the identical sample
     (variance reduction and fair comparison).  Any replication failure
-    aborts the sweep.  Results are independent of ``workers``.
+    aborts the sweep.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    rows = [None] * replications
-
-    def run(rep):
-        return _run_replication(signal, n, methods, master_seed, rep,
-                                step, base_interval)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rep, res in enumerate(pool.map(run, range(replications))):
-                rows[rep] = res
-    else:
-        for rep in range(replications):
-            rows[rep] = run(rep)
-    table = np.asarray(rows, dtype=float)  # (replications, methods)
+    table = np.asarray([
+        _run_replication(signal, n, methods, master_seed, rep, step,
+                         base_interval)
+        for rep in range(replications)
+    ], dtype=float)  # (replications, methods)
     return [
         RiskReport.from_values(signal.name, m.code, m.parameter, n,
                                master_seed, table[:, i])
@@ -264,36 +246,32 @@ def mise_sweep(signal: TestSignal, n: int, methods: Sequence[MethodSpec],
 
 def support_sweep(d_values: Sequence[float], n: int,
                   methods: Sequence[MethodSpec], replications: int,
-                  master_seed: int, *, step: float = DEFAULT_GRID_STEP,
-                  workers: int = 1) -> list[RiskReport]:
+                  master_seed: int, *,
+                  step: float = DEFAULT_GRID_STEP) -> list[RiskReport]:
     """Risk study across the two-component separation d; the integration
     grid always covers at least [-10, d + 10]."""
     reports = []
     for d in d_values:
-        signal = mixture_gd(d)
         base = (-10.0, float(d) + 10.0)
-        for rep in mise_sweep(signal, n, methods, replications, master_seed,
-                              step=step, base_interval=base, workers=workers):
-            reports.append(RiskReport.from_values(
-                rep.signal_id, rep.method_id, float(d), n, master_seed,
-                rep.ise_values))
+        reports += [replace(rep, parameter=float(d))
+                    for rep in mise_sweep(mixture_gd(d), n, methods,
+                                          replications, master_seed,
+                                          step=step, base_interval=base)]
     return reports
 
 
 def tail_sweep(df_values: Sequence[float], n: int,
                methods: Sequence[MethodSpec], replications: int,
-               master_seed: int, *, step: float = DEFAULT_GRID_STEP,
-               workers: int = 1) -> list[RiskReport]:
+               master_seed: int, *,
+               step: float = DEFAULT_GRID_STEP) -> list[RiskReport]:
     """Risk study across the tail-weight parameter of the heavy-tailed
     mixture; grids widen (and coarsen under the point cap) automatically."""
     reports = []
     for df in df_values:
-        signal = mixture_hk(df)
-        for rep in mise_sweep(signal, n, methods, replications, master_seed,
-                              step=step, workers=workers):
-            reports.append(RiskReport.from_values(
-                rep.signal_id, rep.method_id, float(df), n, master_seed,
-                rep.ise_values))
+        reports += [replace(rep, parameter=float(df))
+                    for rep in mise_sweep(mixture_hk(df), n, methods,
+                                          replications, master_seed,
+                                          step=step)]
     return reports
 
 

@@ -10,10 +10,8 @@ from wavedens.basis import (
     TabulatedFunction,
     _cascade_samples,
     build_spline_basis,
-    dump_tabulation_cache,
     eval_decomposition,
     eval_reconstruction,
-    load_spline_basis,
     reconstruction_support,
     sup_norm,
     support_interval,
@@ -176,24 +174,6 @@ class TestSplineConstruction:
         base = sup_norm(spline, (0, 0))
         for j in range(0, 12):
             assert sup_norm(spline, (j, 3)) == 2.0 ** (j / 2.0) * base
-
-
-class TestTabulationCache:
-    def test_round_trip(self, spline, tmp_path):
-        path = tmp_path / "spline.cache"
-        dump_tabulation_cache(spline, path)
-        loaded = load_spline_basis(path)
-        assert loaded.r == spline.r
-        assert np.array_equal(loaded.phi_tilde.samples, spline.phi_tilde.samples)
-        assert np.array_equal(loaded.psi_tilde.samples, spline.psi_tilde.samples)
-        x = np.linspace(-2.3, 3.1, 777)
-        assert np.array_equal(loaded.psi_tilde.eval(x), spline.psi_tilde.eval(x))
-
-    def test_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "bogus.cache"
-        path.write_text("not-a-cache\n")
-        with pytest.raises(ValueError, match="header"):
-            load_spline_basis(path)
 
     def test_tabulated_function_sample_count_checked(self):
         with pytest.raises(ValueError, match="samples"):

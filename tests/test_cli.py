@@ -81,6 +81,20 @@ class TestEstimateCommand:
                      "-o", str(tmp_path / "o")]) == 2
         assert "at least 2" in capsys.readouterr().err
 
+    def test_practical_rejects_gamma(self, data_csv, tmp_path, capsys):
+        rc = main(["estimate", "--input", str(data_csv), "--mode", "practical",
+                   "--gamma", "2", "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "practical-gamma" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "estimate.json").exists()
+
+    def test_dyadic_overflow_errors(self, tmp_path, capsys):
+        path = tmp_path / "wild.csv"
+        path.write_text("1e308\n-1e308\n0\n1\n")
+        rc = main(["estimate", "--input", str(path), "-o", str(tmp_path / "o")])
+        assert rc == 2
+        assert "2^52" in capsys.readouterr().err
+
     def test_single_row_errors(self, tmp_path):
         one = tmp_path / "one.csv"
         one.write_text("0.5\n")
@@ -147,18 +161,20 @@ class TestBenchCommand:
         assert (out / "replications_H_16.csv").exists()
 
     def test_outputs_independent_of_worker_count(self, tmp_path):
-        outs = []
-        for workers, name in [("1", "w1"), ("3", "w3")]:
-            out = tmp_path / name
-            rc = main(["bench", "--sweep", "support", "--values", "10",
-                       "--methods", "H,K", "--n", "128", "--reps", "4",
-                       "--seed", "5", "--workers", workers, "-o", str(out)])
-            assert rc == 0
-            outs.append(out)
-        for fname in ("quartiles.csv", "summary.json",
-                      "replications_H_10.csv", "replications_K_10.csv"):
-            assert ((outs[0] / fname).read_bytes()
-                    == (outs[1] / fname).read_bytes()), fname
+        # manifests written before the thread pool was removed carry a
+        # "workers" key; rerun ignores it and reproduces every byte
+        out1 = tmp_path / "orig"
+        rc = main(["bench", "--sweep", "support", "--values", "10",
+                   "--methods", "H,K", "--n", "128", "--reps", "4",
+                   "--seed", "5", "-o", str(out1)])
+        assert rc == 0
+        manifest = out1 / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["params"]["workers"] = 3
+        manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        out2 = tmp_path / "redo"
+        assert main(["rerun", str(manifest), "-o", str(out2)]) == 0
+        assert _read_tree(out1) == _read_tree(out2)
 
 
 class TestSampleCommand:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavedens.basis import CoefficientIndex, eval_decomposition
+from wavedens.basis import CoefficientIndex, eval_decomposition, sup_norm
 from wavedens.estimator import (
     EstimatorConfig,
     Mode,
     Sample,
     besov_seminorm,
-    empirical_coefficients,
+    coefficient_table,
     estimate,
     estimate_from_json_dict,
     oracle_estimate,
@@ -49,6 +49,14 @@ def brute_force_cells(sample, basis, j0, k_window=600):
                 beta = float(np.sum(vals)) / sample.n
                 cells[(j, k)] = (beta, variance_hat(vals))
     return cells
+
+
+def table_cells(sample, config):
+    """{(j, k): (beta_hat, sigma_hat_sq, n_jk)} from the coefficient table."""
+    t = coefficient_table(sample, config)
+    return {(j, k): (beta, sig, njk) for j, k, beta, sig, njk in zip(
+        t.j.tolist(), t.k.tolist(), t.beta_hat.tolist(),
+        t.sigma_hat_sq.tolist(), t.n_jk.tolist())}
 
 
 class TestSample:
@@ -145,6 +153,8 @@ class TestThreshold:
             Mode("theoretical-gamma", gamma=2.0, c=0.5)
         with pytest.raises(ValueError):
             Mode("bogus")
+        with pytest.raises(ValueError, match="practical-gamma"):
+            Mode("practical", gamma=2.0)
 
 
 class TestJ0:
@@ -167,28 +177,27 @@ class TestJ0:
 
 
 class TestEmpiricalCoefficients:
+    """The coefficient table: one row per nonzero empirical coefficient."""
+
     def test_father_row_all_mass_in_unit_interval(self, haar):
         sample = Sample.from_data([0.1, 0.4, 0.6, 0.9])
         cfg = EstimatorConfig(basis=haar, mode=practical())
-        rows = [c for c in empirical_coefficients(sample, cfg) if c.idx.j == -1]
-        assert len(rows) == 1
-        assert rows[0].idx == CoefficientIndex(-1, 0)
-        assert rows[0].beta_hat == 1.0
-        assert rows[0].n_jk == 4
+        cells = table_cells(sample, cfg)
+        assert [jk for jk in cells if jk[0] == -1] == [(-1, 0)]
+        assert cells[(-1, 0)][0] == 1.0
+        assert cells[(-1, 0)][2] == 4
 
     def test_exact_cancellation_skipped(self, haar):
         sample = Sample.from_data([0.1, 0.3, 0.6, 0.9])
         cfg = EstimatorConfig(basis=haar, mode=practical())
-        idxs = {c.idx for c in empirical_coefficients(sample, cfg)}
-        assert CoefficientIndex(0, 0) not in idxs
+        assert (0, 0) not in table_cells(sample, cfg)
 
     @pytest.mark.parametrize("basis_name", ["haar", "spline"])
     def test_matches_brute_force(self, basis_name, haar, spline, rng):
         basis = haar if basis_name == "haar" else spline
         sample = Sample.from_data(rng.normal(size=200))
         cfg = EstimatorConfig(basis=basis, mode=practical(), j0_override=4)
-        rows = empirical_coefficients(sample, cfg)
-        got = {c.idx: (c.beta_hat, c.sigma_hat_sq) for c in rows}
+        got = table_cells(sample, cfg)
         want = brute_force_cells(sample, basis, 4)
         # whether an exactly-cancelling cell sums to a hard 0.0 depends on
         # float summation order; such cells may appear on either side only
@@ -206,49 +215,62 @@ class TestEmpiricalCoefficients:
         sample = Sample.from_data(rng.normal(size=200))
         lo, hi = sample.data_range
         cfg = EstimatorConfig(basis=haar, mode=practical())
-        rows = empirical_coefficients(sample, cfg)
+        table = coefficient_table(sample, cfg)
         for j in range(0, cfg.j0(sample.n) + 1):
-            ks = [c.idx.k for c in rows if c.idx.j == j]
-            if ks:
+            ks = table.k[table.j == j]
+            if len(ks):
                 assert max(ks) - min(ks) + 1 <= math.ceil(2 ** j * (hi - lo)) + 1
 
     def test_boundary_observation_counts_both_cells(self, haar):
         # an observation exactly on an integer belongs to both box translates
         sample = Sample.from_data([1.0, 0.2, 0.4, 1.7])
         cfg = EstimatorConfig(basis=haar, mode=practical(), j0_override=-1)
-        rows = {c.idx: c for c in empirical_coefficients(sample, cfg)}
-        assert rows[CoefficientIndex(-1, 0)].n_jk == 3
-        assert rows[CoefficientIndex(-1, 1)].n_jk == 2
+        cells = table_cells(sample, cfg)
+        assert cells[(-1, 0)][2] == 3
+        assert cells[(-1, 1)][2] == 2
 
-    def test_sigma_tilde_present_only_in_theoretical_mode(self, haar, rng):
-        sample = Sample.from_data(rng.random(64))
-        rows = empirical_coefficients(
-            sample, EstimatorConfig(basis=haar, mode=theoretical_gamma(1.5)))
-        assert all(r.sigma_tilde_sq is not None for r in rows)
-        assert all(r.sigma_tilde_sq >= r.sigma_hat_sq for r in rows)
-        rows = empirical_coefficients(
-            sample, EstimatorConfig(basis=haar, mode=practical()))
-        assert all(r.sigma_tilde_sq is None for r in rows)
+    def test_sup_column_is_the_basis_sup_norm(self, spline, rng):
+        sample = Sample.from_data(rng.normal(size=100))
+        table = coefficient_table(
+            sample, EstimatorConfig(basis=spline, mode=practical()))
+        for j, sup in zip(table.j.tolist(), table.sup.tolist()):
+            assert sup == sup_norm(spline, (j, 0))
+
+    def test_dyadic_overflow_rejected(self, haar):
+        # 2^j0 * max|x| must stay below 2^52 for exact translate indices
+        wild = Sample.from_data([1e308, -1e308, 0.0, 1.0])
+        cfg = EstimatorConfig(basis=haar, mode=practical())
+        with pytest.raises(ValueError, match="2\\^52"):
+            coefficient_table(wild, cfg)
+        with pytest.raises(ValueError, match="2\\^52"):
+            estimate(wild, cfg)
+        edge = Sample.from_data([0.0, 2.0 ** 50])
+        assert len(coefficient_table(
+            edge, EstimatorConfig(basis=haar, mode=practical(),
+                                  j0_override=1))) > 0
+        with pytest.raises(ValueError, match="2\\^52"):
+            coefficient_table(edge, EstimatorConfig(
+                basis=haar, mode=practical(), j0_override=2))
 
 
 class TestEstimate:
     def test_keep_rule_soundness(self, spline, rng):
         sample = Sample.from_data(rng.normal(size=500))
-        cfg = EstimatorConfig(basis=spline, mode=practical())
-        est = estimate(sample, cfg)
-        rows = {c.idx: c for c in empirical_coefficients(sample, cfg)}
-        kept_idx = set()
         n = sample.n
-        for row in est.kept:
-            idx = CoefficientIndex(row.j, row.k)
-            kept_idx.add(idx)
-            cell = rows[idx]
-            assert abs(row.value) >= row.threshold
-            assert row.threshold == threshold(cell, n, cfg.mode)
-            assert row.value == cell.beta_hat
-        for idx, cell in rows.items():
-            if idx not in kept_idx:
-                assert abs(cell.beta_hat) < threshold(cell, n, cfg.mode)
+        for mode in (practical(), practical_gamma(0.5), theoretical_gamma(1.5)):
+            cfg = EstimatorConfig(basis=spline, mode=mode)
+            table = coefficient_table(sample, cfg)
+            want = []
+            for j, k, beta, sig, sup, eta, kept in zip(
+                    table.j.tolist(), table.k.tolist(),
+                    table.beta_hat.tolist(), table.sigma_hat_sq.tolist(),
+                    table.sup.tolist(), table.eta.tolist(),
+                    table.kept.tolist()):
+                assert eta == threshold(_Cell(sig, sup), n, mode)
+                assert kept == (abs(beta) >= eta)
+                if kept:
+                    want.append((j, k, beta, eta))
+            assert [tuple(row) for row in estimate(sample, cfg).kept] == want
 
     def test_deterministic(self, spline, rng):
         sample = Sample.from_data(rng.normal(size=300))
@@ -287,11 +309,10 @@ class TestEstimate:
         # support width in integer shifts (the +1 covers boundary hits)
         sample = Sample.from_data(rng.standard_t(3, size=400))
         cfg = EstimatorConfig(basis=spline, mode=practical())
-        rows = empirical_coefficients(sample, cfg)
-        j0 = cfg.j0(sample.n)
+        table = coefficient_table(sample, cfg)
         a, b = spline.psi.support
         width = int(math.ceil(b - a))
-        assert len(rows) <= (j0 + 2) * sample.n * (width + 1)
+        assert len(table) <= (table.j0 + 2) * sample.n * (width + 1)
 
     def test_zero_outside_kept_supports(self, spline, rng):
         sample = Sample.from_data(rng.normal(size=200))

@@ -100,6 +100,11 @@ class TestFitKernel:
         with pytest.raises(ValueError, match="zero variance"):
             fit_kernel(Sample.from_data([1.0, 1.0, 1.0]))
 
+    def test_non_finite_score_rejected(self):
+        # the data span overflows float64: no bandwidth can be selected
+        with pytest.raises(ValueError, match="not finite"):
+            fit_kernel(Sample.from_data([1e308, -1e308, 0.0, 1.0]))
+
     def test_deterministic(self, rng):
         sample = Sample.from_data(rng.normal(size=100))
         assert fit_kernel(sample) == fit_kernel(sample)

@@ -144,12 +144,16 @@ class TestSweeps:
         assert report.median == report.ise_values[0]
 
     def test_deterministic_and_worker_independent(self):
+        # replication i depends on (master seed, i) alone, so any split of
+        # the replications across runs or processes gives the same values
         sig = Gauss(0.5, 0.25)
         methods = [method_from_code("H"), method_from_code("K")]
         a = mise_sweep(sig, 128, methods, 6, 17)
         b = mise_sweep(sig, 128, methods, 6, 17)
-        c = mise_sweep(sig, 128, methods, 6, 17, workers=3)
-        assert a == b == c
+        head = mise_sweep(sig, 128, methods, 4, 17)
+        assert a == b
+        for full, part in zip(a, head):
+            assert full.ise_values[:4] == part.ise_values
 
     def test_same_sample_shared_across_methods(self):
         # two labels for the same rule must produce identical error columns
