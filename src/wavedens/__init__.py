@@ -33,6 +33,7 @@ from .estimator import (
     besov_seminorm,
     coefficient_table,
     estimate,
+    estimates,
     oracle_estimate,
     practical,
     practical_gamma,

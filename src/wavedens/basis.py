@@ -177,8 +177,10 @@ class BiorthogonalBasis:
     r: float
 
 
+@functools.lru_cache(maxsize=1)
 def haar_basis() -> BiorthogonalBasis:
-    """Self-dual Haar family: box scaling function and square-wave wavelet."""
+    """Self-dual Haar family: box scaling function and square-wave wavelet.
+    One shared instance, so configs naming it can share a level scan."""
     phi = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
     psi = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, -1.0]))
     # The dual side reuses the exact step functions so that reconstruction

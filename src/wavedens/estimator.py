@@ -53,6 +53,7 @@ __all__ = [
     "variance_tilde",
     "threshold",
     "estimate",
+    "estimates",
     "oracle_estimate",
     "besov_seminorm",
     "estimate_from_json_dict",
@@ -136,14 +137,25 @@ class EstimatorConfig:
     mode: Mode
     j0_override: Optional[int] = None
 
+    def __post_init__(self):
+        if self.j0_override is not None and self.j0_override < -1:
+            raise ValueError(f"level cap j0 = {self.j0_override} is below -1")
+
     def j0(self, n: int) -> int:
         """Coarse-to-fine level cap: floor(log2(n^c (ln n)^c')) in
         theoretical mode, floor(log2 n) otherwise, unless overridden."""
         if self.j0_override is not None:
             return int(self.j0_override)
         if self.mode.kind == "theoretical-gamma":
-            value = (n ** self.mode.c) * math.log(n) ** self.mode.c_prime
-            return int(math.floor(math.log2(value)))
+            c, c_prime = self.mode.c, self.mode.c_prime
+            try:
+                j0 = int(math.floor(math.log2((n ** c) * math.log(n) ** c_prime)))
+            except OverflowError:
+                raise ValueError(f"n^c (ln n)^c' overflows for n = {n}, "
+                                 f"c = {c!r}, c' = {c_prime!r}") from None
+            if j0 < -1:
+                raise ValueError(f"level cap j0 = {j0} is below -1; increase c'")
+            return j0
         return int(math.floor(math.log2(n)))
 
 
@@ -254,6 +266,33 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
     return k_out, s1, s2, njk
 
 
+def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
+    """The level scan behind :func:`coefficient_table`: its rule-free
+    columns (j, k, beta_hat, sigma_hat_sq, n_jk, sup)."""
+    x = sample.observations
+    n = sample.n
+    max_abs = max(abs(float(x[0])), abs(float(x[-1])))
+    if max_abs >= math.ldexp(1.0, 52 - max(j0, 0)):
+        raise ValueError(f"2^{max(j0, 0)} * max|x| = 2^{max(j0, 0)} * "
+                         f"{max_abs!r} reaches 2^52; rescale the data "
+                         f"or lower j0")
+    parts = []
+    for level in range(-1, j0 + 1):
+        ks, s1, s2, njk = _level_stats(x, basis, level)
+        nonzero = s1 != 0.0
+        s1 = s1[nonzero]
+        parts.append((np.full(len(s1), level, dtype=np.int64), ks[nonzero],
+                      s1 / n,
+                      np.maximum(0.0, (s2[nonzero] - s1 * s1 / n) / (n - 1)),
+                      njk[nonzero],
+                      np.full(len(s1), sup_norm(basis, (level, 0)))))
+    # join one column at a time and drop its level pieces right away, so
+    # the peak holds one copy of the table rather than two
+    columns = [list(col) for col in zip(*parts)]
+    del parts
+    return tuple(np.concatenate(columns.pop(0)) for _ in range(6))
+
+
 @dataclass(frozen=True)
 class CoefficientTable:
     """Every nonzero empirical cell of levels -1..j0, sorted by (j, k).
@@ -278,6 +317,13 @@ class CoefficientTable:
         return len(self.j)
 
 
+def _thresholded(scan: tuple, n: int, mode: Mode, j0: int) -> CoefficientTable:
+    """The scan's columns plus the threshold and keep mask of one rule."""
+    _j, _k, beta, sig, _njk, sup = scan
+    eta = _threshold_value(sig, sup, n, mode)
+    return CoefficientTable(*scan, eta=eta, kept=np.abs(beta) >= eta, j0=j0)
+
+
 def coefficient_table(sample: Sample, config: EstimatorConfig) -> CoefficientTable:
     """Scan levels -1..j0 and threshold every nonzero empirical coefficient.
 
@@ -286,36 +332,9 @@ def coefficient_table(sample: Sample, config: EstimatorConfig) -> CoefficientTab
     Raises ``ValueError`` when ``2**max(j0, 0) * max|x|`` reaches 2^52,
     where floor() and the int64 translate index stop being exact.
     """
-    x = sample.observations
-    n = sample.n
-    j0 = config.j0(n)
-    max_abs = max(abs(float(x[0])), abs(float(x[-1])))
-    if max_abs >= math.ldexp(1.0, 52 - max(j0, 0)):
-        raise ValueError(f"2^{max(j0, 0)} * max|x| = 2^{max(j0, 0)} * "
-                         f"{max_abs!r} reaches 2^52; rescale the data "
-                         f"or lower j0")
-    parts = []
-    for level in range(-1, j0 + 1):
-        ks, s1, s2, njk = _level_stats(x, config.basis, level)
-        nonzero = s1 != 0.0
-        s1 = s1[nonzero]
-        parts.append((np.full(len(s1), level, dtype=np.int64), ks[nonzero],
-                      s1 / n,
-                      np.maximum(0.0, (s2[nonzero] - s1 * s1 / n) / (n - 1)),
-                      njk[nonzero],
-                      np.full(len(s1), sup_norm(config.basis, (level, 0)))))
-    if not parts:  # j0 < -1: nothing to scan
-        parts = [(np.empty(0, dtype=np.int64),) * 6]
-    # join one column at a time and drop its level pieces right away, so
-    # the peak holds one copy of the table rather than two
-    columns = [list(col) for col in zip(*parts)]
-    del parts
-    j, ks, beta, sig, njk, sup = [np.concatenate(columns.pop(0))
-                                  for _ in range(6)]
-    eta = _threshold_value(sig, sup, n, config.mode)
-    return CoefficientTable(j=j, k=ks, beta_hat=beta, sigma_hat_sq=sig,
-                            n_jk=njk, sup=sup, eta=eta,
-                            kept=np.abs(beta) >= eta, j0=j0)
+    j0 = config.j0(sample.n)
+    return _thresholded(_scan(sample, config.basis, j0), sample.n,
+                        config.mode, j0)
 
 
 @dataclass(frozen=True)
@@ -407,19 +426,35 @@ def _kept_rows(table: CoefficientTable, mask, thresholds) -> tuple:
                      thresholds))
 
 
-def estimate(sample: Sample, config: EstimatorConfig) -> DensityEstimate:
-    """Run the full keep-or-kill procedure.
+def estimates(sample: Sample,
+              configs: Iterable[EstimatorConfig]) -> list[DensityEstimate]:
+    """Run the full keep-or-kill procedure once per config.
 
     Levels -1..j0 are scanned, each nonzero empirical coefficient is kept
     iff its magnitude reaches the mode's threshold, and the survivors are
-    packaged for reconstruction through the synthesis side.  Deterministic
-    given (sample, config).
+    packaged for reconstruction through the synthesis side.  The scan does
+    not depend on the rule, so configs with the same basis object and j0
+    share one; each estimate equals ``estimate(sample, config)``.
     """
-    table = coefficient_table(sample, config)
-    kept = _kept_rows(table, table.kept, table.eta[table.kept].tolist())
-    return DensityEstimate(kept=kept, basis=config.basis,
-                           positive_part=config.mode.positive_part,
-                           n=sample.n, mode=config.mode, j0=table.j0)
+    n = sample.n
+    scans = {}  # by (id(basis), j0); ``out`` keeps each basis alive: ids unique
+    out = []
+    for config in configs:
+        j0 = config.j0(n)
+        key = (id(config.basis), j0)
+        if key not in scans:
+            scans[key] = _scan(sample, config.basis, j0)
+        table = _thresholded(scans[key], n, config.mode, j0)
+        kept = _kept_rows(table, table.kept, table.eta[table.kept].tolist())
+        out.append(DensityEstimate(kept=kept, basis=config.basis,
+                                   positive_part=config.mode.positive_part,
+                                   n=n, mode=config.mode, j0=j0))
+    return out
+
+
+def estimate(sample: Sample, config: EstimatorConfig) -> DensityEstimate:
+    """One keep-or-kill estimate; see :func:`estimates`."""
+    return estimates(sample, [config])[0]
 
 
 def oracle_estimate(sample: Sample, signal, config: EstimatorConfig) -> DensityEstimate:

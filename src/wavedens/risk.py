@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernel as kernel_mod
 from .basis import basis_by_name
-from .estimator import EstimatorConfig, Mode, estimate, practical, practical_gamma
+from .estimator import EstimatorConfig, Mode, estimates, practical, practical_gamma
 from .signals import TestSignal, mixture_gd, mixture_hk
 
 __all__ = [
@@ -205,12 +205,14 @@ def replication_seed(master_seed: int, rep: int) -> np.random.SeedSequence:
 
 
 def _run_replication(signal, n, methods, master_seed, rep, step, base_interval):
-    """One replication: one shared sample, one ISE per method."""
+    """One replication: one shared sample and level scan, one ISE per method."""
     sample = signal.sample(replication_seed(master_seed, rep), n)
+    wavelet = iter(estimates(sample, [m.config() for m in methods
+                                      if m.kind == "wavelet"]))
     out = []
     for m in methods:
         if m.kind == "wavelet":
-            est = estimate(sample, m.config())
+            est = next(wavelet)
         elif m.kind == "kernel":
             est = kernel_mod.fit_kernel(sample)
         else:

@@ -95,6 +95,25 @@ class TestEstimateCommand:
         assert rc == 2
         assert "2^52" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--j0", "-3"],
+        ["--mode", "theoretical-gamma", "--gamma", "1.5", "--c-prime", "-10"],
+    ])
+    def test_j0_below_father_errors(self, flags, data_csv, tmp_path, capsys):
+        rc = main(["estimate", "--input", str(data_csv), *flags,
+                   "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "below -1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "estimate.json").exists()
+
+    def test_j0_overflow_errors(self, data_csv, tmp_path, capsys):
+        rc = main(["estimate", "--input", str(data_csv), "--mode",
+                   "theoretical-gamma", "--gamma", "1.5", "--c", "400",
+                   "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "overflows for n = 200, c = 400.0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "estimate.json").exists()
+
     def test_single_row_errors(self, tmp_path):
         one = tmp_path / "one.csv"
         one.write_text("0.5\n")

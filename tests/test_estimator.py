@@ -1,5 +1,6 @@
 """Tests for the thresholding estimator core."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from wavedens.estimator import (
     coefficient_table,
     estimate,
     estimate_from_json_dict,
+    estimates,
     oracle_estimate,
     practical,
     practical_gamma,
@@ -175,6 +177,23 @@ class TestJ0:
         cfg = EstimatorConfig(basis=haar, mode=practical(), j0_override=7)
         assert cfg.j0(1024) == 7
 
+    def test_cap_below_father_rejected(self, haar):
+        # level -1 is the coarsest row; a lower cap would scan nothing
+        assert EstimatorConfig(basis=haar, mode=practical(),
+                               j0_override=-1).j0(1024) == -1
+        with pytest.raises(ValueError, match="below -1"):
+            EstimatorConfig(basis=haar, mode=practical(), j0_override=-2)
+        # floor(log2(200 ln(200)^-10)) = -17
+        cfg = EstimatorConfig(basis=haar,
+                              mode=theoretical_gamma(1.5, c_prime=-10.0))
+        with pytest.raises(ValueError, match="j0 = -17 is below -1"):
+            cfg.j0(200)
+
+    def test_theoretical_overflow_rejected(self, haar):
+        cfg = EstimatorConfig(basis=haar, mode=theoretical_gamma(1.5, c=400.0))
+        with pytest.raises(ValueError, match="n = 200, c = 400.0, c' = 0.0"):
+            cfg.j0(200)
+
 
 class TestEmpiricalCoefficients:
     """The coefficient table: one row per nonzero empirical coefficient."""
@@ -320,6 +339,31 @@ class TestEstimate:
         lo, hi = est.support_hull()
         probes = np.array([lo - 0.5, lo - 10.0, hi + 0.5, hi + 10.0])
         assert np.all(est.evaluate(probes) == 0.0)
+
+
+class TestEstimates:
+    def test_matches_estimate_per_config(self, haar, spline, rng):
+        sample = Sample.from_data(rng.normal(size=300))
+        configs = [EstimatorConfig(basis=basis, mode=mode, j0_override=j0)
+                   for basis in (spline, haar)
+                   for mode, j0 in ((practical(), None),
+                                    (practical_gamma(0.5), None),
+                                    (theoretical_gamma(1.5), None),
+                                    (theoretical_gamma(1.5, c=1.5), None),
+                                    (practical_gamma(2.0), 4))]
+        groups = {(id(c.basis), c.j0(sample.n)) for c in configs}
+        assert len(groups) == 6  # 2 bases x j0 in {8, 12, 4}
+        got = estimates(sample, configs)
+        assert len(got) == len(configs)
+        for config, fit in zip(configs, got):
+            want = estimate(sample, config)
+            assert fit.basis is want.basis
+            for field in dataclasses.fields(want):
+                if field.name != "basis":
+                    assert getattr(fit, field.name) == getattr(want, field.name)
+
+    def test_empty_config_list(self, rng):
+        assert estimates(Sample.from_data(rng.normal(size=10)), []) == []
 
 
 class TestEvaluate:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavedens.basis import haar_basis
+from wavedens import estimator
+from wavedens.basis import basis_by_name, haar_basis
 from wavedens.estimator import (
     DensityEstimate,
     EstimatorConfig,
@@ -30,7 +31,7 @@ from wavedens.risk import (
     write_replications_csv,
     write_summary_json,
 )
-from wavedens.signals import Gauss, Uniform01, mixture_gd, mixture_hk
+from wavedens.signals import Bumps, Gauss, Uniform01, mixture_gd, mixture_hk
 
 
 def _haar_estimate(rows, positive=True):
@@ -164,6 +165,36 @@ class TestSweeps:
         ]
         ra, rb = mise_sweep(sig, 128, methods, 5, 23)
         assert ra.ise_values == rb.ise_values
+
+    @staticmethod
+    def _gamma_rules(basis_name):
+        return [MethodSpec(f"PG{g:g}", "wavelet", basis_name,
+                           practical_gamma(g), parameter=g)
+                for g in (0.25 * i for i in range(1, 9))]
+
+    def test_shared_scan_matches_one_method_sweeps(self):
+        # fitting the rules together changes no error, bit for bit
+        methods = self._gamma_rules("spline")
+        together = mise_sweep(Bumps(), 256, methods, 2, 41)
+        for m, report in zip(methods, together):
+            (alone,) = mise_sweep(Bumps(), 256, [m], 2, 41)
+            assert report.ise_values == alone.ise_values
+
+    @pytest.mark.parametrize("basis_name", ["spline", "haar"])
+    def test_rules_share_one_level_scan(self, basis_name, monkeypatch):
+        calls = []
+        level_stats = estimator._level_stats
+
+        def counted(x, basis, j):
+            calls.append(j)
+            return level_stats(x, basis, j)
+
+        monkeypatch.setattr(estimator, "_level_stats", counted)
+        n = 256
+        mise_sweep(Gauss(0.5, 0.25), n, self._gamma_rules(basis_name), 1, 3)
+        j0 = EstimatorConfig(basis=basis_by_name(basis_name),
+                             mode=practical()).j0(n)
+        assert calls == list(range(-1, j0 + 1))  # j0 + 2 levels, once each
 
     def test_replication_seed_contract(self):
         sig = Uniform01()
