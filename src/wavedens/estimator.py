@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -137,26 +138,25 @@ class EstimatorConfig:
     mode: Mode
     j0_override: Optional[int] = None
 
-    def __post_init__(self):
-        if self.j0_override is not None and self.j0_override < -1:
-            raise ValueError(f"level cap j0 = {self.j0_override} is below -1")
-
     def j0(self, n: int) -> int:
         """Coarse-to-fine level cap: floor(log2(n^c (ln n)^c')) in
         theoretical mode, floor(log2 n) otherwise, unless overridden."""
         if self.j0_override is not None:
-            return int(self.j0_override)
-        if self.mode.kind == "theoretical-gamma":
+            j0 = int(self.j0_override)
+        elif self.mode.kind == "theoretical-gamma":
             c, c_prime = self.mode.c, self.mode.c_prime
             try:
-                j0 = int(math.floor(math.log2((n ** c) * math.log(n) ** c_prime)))
+                cap = (n ** c) * math.log(n) ** c_prime
+                # a cap that underflows to 0.0 lies below every level
+                j0 = int(math.floor(math.log2(cap))) if cap > 0 else -math.inf
             except OverflowError:
                 raise ValueError(f"n^c (ln n)^c' overflows for n = {n}, "
                                  f"c = {c!r}, c' = {c_prime!r}") from None
-            if j0 < -1:
-                raise ValueError(f"level cap j0 = {j0} is below -1; increase c'")
-            return j0
-        return int(math.floor(math.log2(n)))
+        else:
+            j0 = int(math.floor(math.log2(n)))
+        if j0 < -1:
+            raise ValueError(f"level cap j0 = {j0} is below -1")
+        return j0
 
 
 class KeptCoefficient(NamedTuple):
@@ -293,6 +293,10 @@ def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
     return tuple(np.concatenate(columns.pop(0)) for _ in range(6))
 
 
+# the scans of the running ``estimates`` call by (id(sample), id(basis), j0)
+_shared_scans: ContextVar[dict] = ContextVar("_shared_scans")
+
+
 @dataclass(frozen=True)
 class CoefficientTable:
     """Every nonzero empirical cell of levels -1..j0, sorted by (j, k).
@@ -317,24 +321,25 @@ class CoefficientTable:
         return len(self.j)
 
 
-def _thresholded(scan: tuple, n: int, mode: Mode, j0: int) -> CoefficientTable:
-    """The scan's columns plus the threshold and keep mask of one rule."""
-    _j, _k, beta, sig, _njk, sup = scan
-    eta = _threshold_value(sig, sup, n, mode)
-    return CoefficientTable(*scan, eta=eta, kept=np.abs(beta) >= eta, j0=j0)
-
-
 def coefficient_table(sample: Sample, config: EstimatorConfig) -> CoefficientTable:
     """Scan levels -1..j0 and threshold every nonzero empirical coefficient.
 
     At each level exactly the translates whose analysis support meets the
     data are visited; cells whose coefficient is exactly zero are dropped.
-    Raises ``ValueError`` when ``2**max(j0, 0) * max|x|`` reaches 2^52,
-    where floor() and the int64 translate index stop being exact.
+    Inside :func:`estimates` the scan is shared.  Raises ``ValueError``
+    when ``2**max(j0, 0) * max|x|`` reaches 2^52, where floor() and the
+    int64 translate index stop being exact.
     """
     j0 = config.j0(sample.n)
-    return _thresholded(_scan(sample, config.basis, j0), sample.n,
-                        config.mode, j0)
+    scans = _shared_scans.get({})  # a throwaway dict outside estimates()
+    key = (id(sample), id(config.basis), j0)
+    if key not in scans:
+        scans[key] = _scan(sample, config.basis, j0)
+    j, ks, beta, sig, njk, sup = scans[key]
+    eta = _threshold_value(sig, sup, sample.n, config.mode)
+    return CoefficientTable(j=j, k=ks, beta_hat=beta, sigma_hat_sq=sig,
+                            n_jk=njk, sup=sup, eta=eta,
+                            kept=np.abs(beta) >= eta, j0=j0)
 
 
 @dataclass(frozen=True)
@@ -428,33 +433,28 @@ def _kept_rows(table: CoefficientTable, mask, thresholds) -> tuple:
 
 def estimates(sample: Sample,
               configs: Iterable[EstimatorConfig]) -> list[DensityEstimate]:
-    """Run the full keep-or-kill procedure once per config.
-
-    Levels -1..j0 are scanned, each nonzero empirical coefficient is kept
-    iff its magnitude reaches the mode's threshold, and the survivors are
-    packaged for reconstruction through the synthesis side.  The scan does
-    not depend on the rule, so configs with the same basis object and j0
-    share one; each estimate equals ``estimate(sample, config)``.
-    """
-    n = sample.n
-    scans = {}  # by (id(basis), j0); ``out`` keeps each basis alive: ids unique
-    out = []
-    for config in configs:
-        j0 = config.j0(n)
-        key = (id(config.basis), j0)
-        if key not in scans:
-            scans[key] = _scan(sample, config.basis, j0)
-        table = _thresholded(scans[key], n, config.mode, j0)
-        kept = _kept_rows(table, table.kept, table.eta[table.kept].tolist())
-        out.append(DensityEstimate(kept=kept, basis=config.basis,
-                                   positive_part=config.mode.positive_part,
-                                   n=n, mode=config.mode, j0=j0))
-    return out
+    """``estimate(sample, config)`` for every config.  The rules share one
+    level scan per (basis object, j0), dropped when the call returns."""
+    token = _shared_scans.set({})
+    try:
+        return [estimate(sample, config) for config in configs]
+    finally:
+        _shared_scans.reset(token)
 
 
 def estimate(sample: Sample, config: EstimatorConfig) -> DensityEstimate:
-    """One keep-or-kill estimate; see :func:`estimates`."""
-    return estimates(sample, [config])[0]
+    """Run the full keep-or-kill procedure.
+
+    Levels -1..j0 are scanned, each nonzero empirical coefficient is kept
+    iff its magnitude reaches the mode's threshold, and the survivors are
+    packaged for reconstruction through the synthesis side.  Deterministic
+    given (sample, config).
+    """
+    table = coefficient_table(sample, config)
+    kept = _kept_rows(table, table.kept, table.eta[table.kept].tolist())
+    return DensityEstimate(kept=kept, basis=config.basis,
+                           positive_part=config.mode.positive_part,
+                           n=sample.n, mode=config.mode, j0=table.j0)
 
 
 def oracle_estimate(sample: Sample, signal, config: EstimatorConfig) -> DensityEstimate:

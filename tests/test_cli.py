@@ -98,6 +98,7 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("flags", [
         ["--j0", "-3"],
         ["--mode", "theoretical-gamma", "--gamma", "1.5", "--c-prime", "-10"],
+        ["--mode", "theoretical-gamma", "--gamma", "1.5", "--c-prime", "-1000"],
     ])
     def test_j0_below_father_errors(self, flags, data_csv, tmp_path, capsys):
         rc = main(["estimate", "--input", str(data_csv), *flags,

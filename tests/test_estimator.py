@@ -182,11 +182,17 @@ class TestJ0:
         assert EstimatorConfig(basis=haar, mode=practical(),
                                j0_override=-1).j0(1024) == -1
         with pytest.raises(ValueError, match="below -1"):
-            EstimatorConfig(basis=haar, mode=practical(), j0_override=-2)
+            EstimatorConfig(basis=haar, mode=practical(),
+                            j0_override=-2).j0(1024)
         # floor(log2(200 ln(200)^-10)) = -17
         cfg = EstimatorConfig(basis=haar,
                               mode=theoretical_gamma(1.5, c_prime=-10.0))
         with pytest.raises(ValueError, match="j0 = -17 is below -1"):
+            cfg.j0(200)
+        # 200 ln(200)^-1000 underflows to 0.0: below every level
+        cfg = EstimatorConfig(basis=haar,
+                              mode=theoretical_gamma(1.5, c_prime=-1000.0))
+        with pytest.raises(ValueError, match="j0 = -inf is below -1"):
             cfg.j0(200)
 
     def test_theoretical_overflow_rejected(self, haar):

@@ -191,10 +191,11 @@ class TestSweeps:
 
         monkeypatch.setattr(estimator, "_level_stats", counted)
         n = 256
-        mise_sweep(Gauss(0.5, 0.25), n, self._gamma_rules(basis_name), 1, 3)
+        mise_sweep(Gauss(0.5, 0.25), n, self._gamma_rules(basis_name), 2, 3)
         j0 = EstimatorConfig(basis=basis_by_name(basis_name),
                              mode=practical()).j0(n)
-        assert calls == list(range(-1, j0 + 1))  # j0 + 2 levels, once each
+        # j0 + 2 levels once per replication: no scan outlives its sample
+        assert calls == list(range(-1, j0 + 1)) * 2
 
     def test_replication_seed_contract(self):
         sig = Uniform01()
