@@ -33,7 +33,6 @@ from .estimator import (
     besov_seminorm,
     coefficient_table,
     estimate,
-    estimates,
     oracle_estimate,
     practical,
     practical_gamma,

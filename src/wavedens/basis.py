@@ -31,6 +31,7 @@ __all__ = [
     "spline_basis",
     "eval_decomposition",
     "eval_reconstruction",
+    "level_function",
     "sup_norm",
     "support_interval",
 ]
@@ -311,61 +312,58 @@ def basis_by_name(name: str,
     raise ValueError(f"unknown basis {name!r}; expected 'haar' or 'spline'")
 
 
-def _check_level(idx: CoefficientIndex) -> CoefficientIndex:
-    idx = CoefficientIndex(*idx)
-    if idx.j < -1:
-        raise ValueError(f"level must be >= -1, got {idx.j}")
-    return idx
-
-
-def _eval_dilated(father, mother, idx, x):
-    """``father(x - k)`` at level -1, else ``2**(j/2) * mother(2**j x - k)``."""
-    j, k = _check_level(idx)
-    scalar = np.isscalar(x)
-    xv = np.asarray(x, dtype=float)
+def level_function(basis: BiorthogonalBasis, j: int, *,
+                   synthesis: bool = False) -> tuple:
+    """``(f, amp, scale)`` with ``f_jk(x) = amp * f(scale * x - k)`` at level
+    ``j``: ``(phi, 1.0, 1.0)`` for the father row ``j = -1``, else
+    ``(psi, 2**(j/2), 2**j)``; the dual functions when ``synthesis``."""
+    if j < -1:
+        raise ValueError(f"level must be >= -1, got {j}")
     if j == -1:
-        out = father.eval(xv - k)
-    else:
-        out = (2.0 ** (j / 2.0)) * mother.eval((2.0 ** j) * xv - k)
+        return (basis.phi_tilde if synthesis else basis.phi), 1.0, 1.0
+    return ((basis.psi_tilde if synthesis else basis.psi),
+            2.0 ** (j / 2.0), 2.0 ** j)
+
+
+def _eval_dilated(basis, idx, x, synthesis):
+    j, k = idx
+    fn, amp, scale = level_function(basis, j, synthesis=synthesis)
+    scalar = np.isscalar(x)
+    out = amp * fn.eval(scale * np.asarray(x, dtype=float) - k)
     return float(out) if scalar else out
 
 
 def eval_decomposition(basis: BiorthogonalBasis, idx, x):
     """Analysis-side evaluation: ``phi(x - k)`` at level -1, else
     ``2**(j/2) * psi(2**j x - k)``.  Exact step-function lookup."""
-    return _eval_dilated(basis.phi, basis.psi, idx, x)
+    return _eval_dilated(basis, idx, x, synthesis=False)
 
 
 def eval_reconstruction(basis: BiorthogonalBasis, idx, x):
     """Synthesis-side evaluation via the dual functions (tabulated lookup
     with linear interpolation for the spline pair, exact for Haar)."""
-    return _eval_dilated(basis.phi_tilde, basis.psi_tilde, idx, x)
+    return _eval_dilated(basis, idx, x, synthesis=True)
 
 
 def sup_norm(basis: BiorthogonalBasis, idx) -> float:
     """Sup norm of the analysis function at this index: ``2**(j/2) * ||psi||``
     for levels >= 0, ``||phi||`` for the father row.  Exact from step values."""
-    j, _ = _check_level(idx)
-    if j == -1:
-        return basis.phi.sup_norm
-    return (2.0 ** (j / 2.0)) * basis.psi.sup_norm
+    fn, amp, _ = level_function(basis, idx[0])
+    return amp * fn.sup_norm
+
+
+def _support(basis, idx, synthesis):
+    j, k = idx
+    fn, _, scale = level_function(basis, j, synthesis=synthesis)
+    a, b = fn.support
+    return (a + k) / scale, (b + k) / scale
 
 
 def support_interval(basis: BiorthogonalBasis, idx) -> tuple[float, float]:
     """Closed support of the analysis function at this index."""
-    j, k = _check_level(idx)
-    a, b = (basis.phi.support if j == -1 else basis.psi.support)
-    if j == -1:
-        return a + k, b + k
-    scale = 2.0 ** -j
-    return (a + k) * scale, (b + k) * scale
+    return _support(basis, idx, synthesis=False)
 
 
 def reconstruction_support(basis: BiorthogonalBasis, idx) -> tuple[float, float]:
     """Closed support of the synthesis function at this index."""
-    j, k = _check_level(idx)
-    a, b = (basis.phi_tilde.support if j == -1 else basis.psi_tilde.support)
-    if j == -1:
-        return a + k, b + k
-    scale = 2.0 ** -j
-    return (a + k) * scale, (b + k) * scale
+    return _support(basis, idx, synthesis=True)

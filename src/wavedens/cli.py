@@ -52,6 +52,14 @@ class CliError(Exception):
     pass
 
 
+class _ManifestParams(dict):
+    """Manifest params; a key a handler reads but the manifest lacks is a
+    :class:`CliError` naming it."""
+
+    def __missing__(self, key):
+        raise CliError(f"manifest params lack {key!r}")
+
+
 def _outdir(path_arg) -> Path:
     path = path_arg or os.environ.get("WAVEDENS_OUTDIR") or "."
     out = Path(path)
@@ -218,12 +226,16 @@ def run_from_manifest(manifest_path: str, outdir: Path) -> None:
         doc = json.loads(Path(manifest_path).read_text(encoding="ascii"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read manifest {manifest_path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CliError(f"manifest {manifest_path} is not a JSON object")
     if doc.get("format") != MANIFEST_FORMAT:
         raise CliError(f"unrecognized manifest format {doc.get('format')!r}")
     command = doc.get("command")
     if command not in _HANDLERS:
         raise CliError(f"manifest names unknown command {command!r}")
-    _HANDLERS[command](doc["params"], outdir)
+    if not isinstance(doc.get("params"), dict):
+        raise CliError(f"manifest {manifest_path} has no params object")
+    _HANDLERS[command](_ManifestParams(doc["params"]), outdir)
 
 
 # ---------------------------------------------------------------------------

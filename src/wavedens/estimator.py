@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -35,6 +34,7 @@ from .basis import (
     BiorthogonalBasis,
     CoefficientIndex,
     basis_by_name,
+    level_function,
     reconstruction_support,
     sup_norm,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "variance_tilde",
     "threshold",
     "estimate",
-    "estimates",
     "oracle_estimate",
     "besov_seminorm",
     "estimate_from_json_dict",
@@ -66,6 +65,10 @@ class Sample:
     """Sorted 1-D sample with at least two finite observations."""
 
     observations: np.ndarray
+    # the level scans fitted to this sample, (id(basis), j0) -> (basis,
+    # columns); holding the basis keeps its id from being reused
+    _scans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         obs = np.asarray(self.observations, dtype=float)
@@ -232,12 +235,11 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
     closed support.  Cells never touched by data are not materialized (their
     empirical coefficient is exactly zero).
     """
-    step_fn = basis.phi if j == -1 else basis.psi
+    step_fn, amp, scale = level_function(basis, j)
     a, b = step_fn.support
     bp = step_fn.breakpoints
     vals = step_fn.values
-    amp = 1.0 if j == -1 else 2.0 ** (j / 2.0)
-    t = x if j == -1 else (2.0 ** j) * x
+    t = scale * x
     base = np.floor(t)
     frac = t - base
 
@@ -268,7 +270,8 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
 
 def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
     """The level scan behind :func:`coefficient_table`: its rule-free
-    columns (j, k, beta_hat, sigma_hat_sq, n_jk, sup)."""
+    columns (j, k, beta_hat, sigma_hat_sq, n_jk, sup), read-only because
+    every rule fitted to the sample reuses them."""
     x = sample.observations
     n = sample.n
     max_abs = max(abs(float(x[0])), abs(float(x[-1])))
@@ -290,11 +293,10 @@ def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
     # the peak holds one copy of the table rather than two
     columns = [list(col) for col in zip(*parts)]
     del parts
-    return tuple(np.concatenate(columns.pop(0)) for _ in range(6))
-
-
-# the scans of the running ``estimates`` call by (id(sample), id(basis), j0)
-_shared_scans: ContextVar[dict] = ContextVar("_shared_scans")
+    out = tuple(np.concatenate(columns.pop(0)) for _ in range(6))
+    for col in out:
+        col.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -326,16 +328,16 @@ def coefficient_table(sample: Sample, config: EstimatorConfig) -> CoefficientTab
 
     At each level exactly the translates whose analysis support meets the
     data are visited; cells whose coefficient is exactly zero are dropped.
-    Inside :func:`estimates` the scan is shared.  Raises ``ValueError``
-    when ``2**max(j0, 0) * max|x|`` reaches 2^52, where floor() and the
-    int64 translate index stop being exact.
+    The scan depends on the sample, basis and j0 alone, so the sample keeps
+    it and later rules reuse it; its columns are read-only.  Raises
+    ``ValueError`` when ``2**max(j0, 0) * max|x|`` reaches 2^52, where
+    floor() and the int64 translate index stop being exact.
     """
     j0 = config.j0(sample.n)
-    scans = _shared_scans.get({})  # a throwaway dict outside estimates()
-    key = (id(sample), id(config.basis), j0)
-    if key not in scans:
-        scans[key] = _scan(sample, config.basis, j0)
-    j, ks, beta, sig, njk, sup = scans[key]
+    key = (id(config.basis), j0)
+    if key not in sample._scans:
+        sample._scans[key] = (config.basis, _scan(sample, config.basis, j0))
+    j, ks, beta, sig, njk, sup = sample._scans[key][1]
     eta = _threshold_value(sig, sup, sample.n, config.mode)
     return CoefficientTable(j=j, k=ks, beta_hat=beta, sigma_hat_sq=sig,
                             n_jk=njk, sup=sup, eta=eta,
@@ -375,26 +377,23 @@ class DensityEstimate:
         estimate carries the positive-part flag.  Exactly zero outside the
         kept reconstruction supports."""
         x = np.atleast_1d(np.asarray(grid, dtype=float))
+        shape, x = x.shape, x.ravel()
+        # each kept cell touches one run of an ascending grid
+        order = None if np.all(x[1:] >= x[:-1]) else np.argsort(x, kind="stable")
+        if order is not None:
+            x = x[order]
         out = np.zeros_like(x)
-        ascending = x.ndim == 1 and (len(x) < 2 or bool(np.all(np.diff(x) >= 0)))
         for row in self.kept:
-            j, k, value = row.j, row.k, row.value
-            lo, hi = reconstruction_support(self.basis, (j, k))
-            fn = self.basis.phi_tilde if j == -1 else self.basis.psi_tilde
-            amp = 1.0 if j == -1 else 2.0 ** (j / 2.0)
-            if ascending:
-                i0 = np.searchsorted(x, lo, side="left")
-                i1 = np.searchsorted(x, hi, side="right")
-                if i0 == i1:
-                    continue
-                arg = (x[i0:i1] - k) if j == -1 else (2.0 ** j) * x[i0:i1] - k
-                out[i0:i1] += value * amp * fn.eval(arg)
-            else:
-                arg = (x - k) if j == -1 else (2.0 ** j) * x - k
-                out += value * amp * fn.eval(arg)
+            fn, amp, scale = level_function(self.basis, row.j, synthesis=True)
+            lo, hi = reconstruction_support(self.basis, (row.j, row.k))
+            i0 = np.searchsorted(x, lo, side="left")
+            i1 = np.searchsorted(x, hi, side="right")
+            out[i0:i1] += row.value * amp * fn.eval(scale * x[i0:i1] - row.k)
         if self.positive_part:
             np.maximum(out, 0.0, out=out)
-        return out
+        if order is not None:
+            out[order] = out.copy()
+        return out.reshape(shape)
 
     def to_json_dict(self) -> dict:
         return {
@@ -431,24 +430,13 @@ def _kept_rows(table: CoefficientTable, mask, thresholds) -> tuple:
                      thresholds))
 
 
-def estimates(sample: Sample,
-              configs: Iterable[EstimatorConfig]) -> list[DensityEstimate]:
-    """``estimate(sample, config)`` for every config.  The rules share one
-    level scan per (basis object, j0), dropped when the call returns."""
-    token = _shared_scans.set({})
-    try:
-        return [estimate(sample, config) for config in configs]
-    finally:
-        _shared_scans.reset(token)
-
-
 def estimate(sample: Sample, config: EstimatorConfig) -> DensityEstimate:
     """Run the full keep-or-kill procedure.
 
     Levels -1..j0 are scanned, each nonzero empirical coefficient is kept
     iff its magnitude reaches the mode's threshold, and the survivors are
     packaged for reconstruction through the synthesis side.  Deterministic
-    given (sample, config).
+    given (sample, config); rules fitted to one sample share its scan.
     """
     table = coefficient_table(sample, config)
     kept = _kept_rows(table, table.kept, table.eta[table.kept].tolist())

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernel as kernel_mod
 from .basis import basis_by_name
-from .estimator import EstimatorConfig, Mode, estimates, practical, practical_gamma
+from .estimator import EstimatorConfig, Mode, estimate, practical, practical_gamma
 from .signals import TestSignal, mixture_gd, mixture_hk
 
 __all__ = [
@@ -205,14 +205,12 @@ def replication_seed(master_seed: int, rep: int) -> np.random.SeedSequence:
 
 
 def _run_replication(signal, n, methods, master_seed, rep, step, base_interval):
-    """One replication: one shared sample and level scan, one ISE per method."""
+    """One replication: one sample and its level scans, one ISE per method."""
     sample = signal.sample(replication_seed(master_seed, rep), n)
-    wavelet = iter(estimates(sample, [m.config() for m in methods
-                                      if m.kind == "wavelet"]))
     out = []
     for m in methods:
         if m.kind == "wavelet":
-            est = next(wavelet)
+            est = estimate(sample, m.config())
         elif m.kind == "kernel":
             est = kernel_mod.fit_kernel(sample)
         else:
@@ -246,20 +244,25 @@ def mise_sweep(signal: TestSignal, n: int, methods: Sequence[MethodSpec],
     ]
 
 
+def _parameter_sweep(values, signal_at, base_at, n, methods, replications,
+                     master_seed, step) -> list[RiskReport]:
+    """One :func:`mise_sweep` per value; ``base_at(value)`` as its grid base."""
+    return [replace(rep, parameter=float(v))
+            for v in values
+            for rep in mise_sweep(signal_at(v), n, methods, replications,
+                                  master_seed, step=step,
+                                  base_interval=base_at(v))]
+
+
 def support_sweep(d_values: Sequence[float], n: int,
                   methods: Sequence[MethodSpec], replications: int,
                   master_seed: int, *,
                   step: float = DEFAULT_GRID_STEP) -> list[RiskReport]:
     """Risk study across the two-component separation d; the integration
     grid always covers at least [-10, d + 10]."""
-    reports = []
-    for d in d_values:
-        base = (-10.0, float(d) + 10.0)
-        reports += [replace(rep, parameter=float(d))
-                    for rep in mise_sweep(mixture_gd(d), n, methods,
-                                          replications, master_seed,
-                                          step=step, base_interval=base)]
-    return reports
+    return _parameter_sweep(d_values, mixture_gd,
+                            lambda d: (-10.0, float(d) + 10.0), n, methods,
+                            replications, master_seed, step)
 
 
 def tail_sweep(df_values: Sequence[float], n: int,
@@ -268,13 +271,8 @@ def tail_sweep(df_values: Sequence[float], n: int,
                step: float = DEFAULT_GRID_STEP) -> list[RiskReport]:
     """Risk study across the tail-weight parameter of the heavy-tailed
     mixture; grids widen (and coarsen under the point cap) automatically."""
-    reports = []
-    for df in df_values:
-        reports += [replace(rep, parameter=float(df))
-                    for rep in mise_sweep(mixture_hk(df), n, methods,
-                                          replications, master_seed,
-                                          step=step)]
-    return reports
+    return _parameter_sweep(df_values, mixture_hk, lambda df: None, n,
+                            methods, replications, master_seed, step)
 
 
 # ---------------------------------------------------------------------------

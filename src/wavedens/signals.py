@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import t as _student_t
 
-from .basis import BiorthogonalBasis, CoefficientIndex
+from .basis import BiorthogonalBasis, CoefficientIndex, level_function
 from .estimator import Sample
 
 __all__ = [
@@ -337,13 +337,8 @@ def true_level_values(signal: TestSignal, basis: BiorthogonalBasis,
     ``sigma^2 = amp^2 * sum_i v_i^2 dF_i - beta^2``.
     """
     ks = np.asarray(ks, dtype=float)
-    step_fn = basis.phi if j == -1 else basis.psi
-    if j == -1:
-        pts = step_fn.breakpoints[None, :] + ks[:, None]
-        amp = 1.0
-    else:
-        pts = (step_fn.breakpoints[None, :] + ks[:, None]) / (2.0 ** j)
-        amp = 2.0 ** (j / 2.0)
+    step_fn, amp, scale = level_function(basis, j)
+    pts = (step_fn.breakpoints[None, :] + ks[:, None]) / scale
     df = np.diff(signal.cdf(pts), axis=1)
     # row-wise reductions so results do not depend on the batch size
     beta = amp * np.sum(df * step_fn.values, axis=1)

@@ -235,6 +235,23 @@ class TestManifestRerun:
         assert main(["rerun", str(path), "-o", str(tmp_path / "o")]) == 2
         assert "manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda doc: [doc], "not a JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "params"},
+         "no params"),
+        (lambda doc: {**doc, "params": {k: v for k, v in doc["params"].items()
+                                        if k != "mu"}},
+         "lack 'mu'"),
+    ], ids=["list", "no-params", "no-mu"])
+    def test_malformed_manifest(self, damage, message, tmp_path, capsys):
+        out = tmp_path / "orig"
+        assert main(["sample", "--signal", "gauss", "--n", "5",
+                     "-o", str(out)]) == 0
+        path = out / "manifest.json"
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        assert main(["rerun", str(path), "-o", str(tmp_path / "redo")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_outdir_env_var(self, data_csv, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
         monkeypatch.setenv("WAVEDENS_OUTDIR", str(target))

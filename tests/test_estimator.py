@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wavedens import estimator
 from wavedens.basis import CoefficientIndex, eval_decomposition, sup_norm
 from wavedens.estimator import (
     EstimatorConfig,
@@ -16,7 +17,6 @@ from wavedens.estimator import (
     coefficient_table,
     estimate,
     estimate_from_json_dict,
-    estimates,
     oracle_estimate,
     practical,
     practical_gamma,
@@ -25,7 +25,7 @@ from wavedens.estimator import (
     variance_hat,
     variance_tilde,
 )
-from wavedens.signals import Gauss, Uniform01
+from wavedens.signals import Bumps, Gauss, Uniform01
 
 
 def pairwise_variance(values):
@@ -348,8 +348,24 @@ class TestEstimate:
 
 
 class TestEstimates:
-    def test_matches_estimate_per_config(self, haar, spline, rng):
-        sample = Sample.from_data(rng.normal(size=300))
+    @staticmethod
+    def _count_scans(monkeypatch):
+        scans = []
+        scan = estimator._scan
+
+        def counted(sample, basis, j0):
+            scans.append((basis.name, j0))
+            return scan(sample, basis, j0)
+
+        monkeypatch.setattr(estimator, "_scan", counted)
+        return scans
+
+    def test_matches_estimate_per_config(self, haar, spline, rng,
+                                         monkeypatch):
+        # rules fitted to one sample share its scans; each fit equals the
+        # fit on a fresh copy of the sample
+        x = rng.normal(size=300)
+        sample = Sample.from_data(x)
         configs = [EstimatorConfig(basis=basis, mode=mode, j0_override=j0)
                    for basis in (spline, haar)
                    for mode, j0 in ((practical(), None),
@@ -357,19 +373,36 @@ class TestEstimates:
                                     (theoretical_gamma(1.5), None),
                                     (theoretical_gamma(1.5, c=1.5), None),
                                     (practical_gamma(2.0), 4))]
-        groups = {(id(c.basis), c.j0(sample.n)) for c in configs}
-        assert len(groups) == 6  # 2 bases x j0 in {8, 12, 4}
-        got = estimates(sample, configs)
-        assert len(got) == len(configs)
-        for config, fit in zip(configs, got):
-            want = estimate(sample, config)
+        scans = self._count_scans(monkeypatch)
+        shared = [estimate(sample, config) for config in configs]
+        # 2 bases x j0 in {8, 12, 4}
+        assert sorted(scans) == sorted({(c.basis.name, c.j0(sample.n))
+                                        for c in configs})
+        assert len(scans) == 6
+        for config, fit in zip(configs, shared):
+            want = estimate(Sample.from_data(x), config)
             assert fit.basis is want.basis
             for field in dataclasses.fields(want):
                 if field.name != "basis":
                     assert getattr(fit, field.name) == getattr(want, field.name)
 
-    def test_empty_config_list(self, rng):
-        assert estimates(Sample.from_data(rng.normal(size=10)), []) == []
+    def test_oracle_and_estimate_share_a_scan(self, spline, monkeypatch):
+        signal = Gauss(0.5, 0.25)
+        sample = signal.sample(7, 256)
+        cfg = EstimatorConfig(basis=spline, mode=practical())
+        scans = self._count_scans(monkeypatch)
+        oracle_estimate(sample, signal, cfg)
+        estimate(sample, cfg)
+        assert len(scans) == 1
+
+    def test_scan_columns_read_only(self, haar, rng):
+        # a caller cannot corrupt the scan that later rules reuse
+        sample = Sample.from_data(rng.normal(size=50))
+        table = coefficient_table(sample,
+                                  EstimatorConfig(basis=haar, mode=practical()))
+        for name in ("j", "k", "beta_hat", "sigma_hat_sq", "n_jk", "sup"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 0
 
 
 class TestEvaluate:
@@ -392,10 +425,28 @@ class TestEvaluate:
         # at x = 0.75 the wavelet flips sign: 0.5 - 0.5 = 0
         assert est.evaluate([0.75])[0] == 0.0
 
-    def test_unsorted_grid(self, haar):
+    def test_unsorted_grid(self, haar, spline, rng):
         est = _manual_estimate(haar, [(-1, 0, 1.0, 0.0)], positive=True)
         out = est.evaluate([1.5, 0.5, -0.5, 0.2])
         assert list(out) == [0.0, 1.0, 0.0, 1.0]
+        # a signed spline reconstruction of many cells: any order or shape
+        # of the grid gives the sorted grid's values bit for bit
+        est = estimate(Bumps().sample(3, 2048),
+                       EstimatorConfig(basis=spline,
+                                       mode=theoretical_gamma(0.1)))
+        assert not est.positive_part and len(est.kept) > 100
+        lo, hi = est.support_hull()
+        grid = np.linspace(lo - 0.5, hi + 0.5, 4000)
+        want = est.evaluate(grid)
+        assert np.any(want < 0)
+        perm = rng.permutation(len(grid))
+        for probe, expect in ((grid[perm], want[perm]),
+                              (grid.reshape(40, 100), want.reshape(40, 100)),
+                              (grid[perm].reshape(80, 50),
+                               want[perm].reshape(80, 50))):
+            got = est.evaluate(probe)
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
 
 
 def _manual_estimate(basis, rows, positive):

@@ -1,5 +1,7 @@
 """Property tests of the estimator's invariants."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from wavedens.estimator import (
     EstimatorConfig,
     Sample,
     estimate,
+    estimate_from_json_dict,
     practical,
     practical_gamma,
     theoretical_gamma,
@@ -49,3 +52,21 @@ def test_translation_invariance(basis_name, mode_name, haar, spline, ints, m):
     grid = np.arange(np.floor(lo * GRID_SCALE) - 8,
                      np.ceil(hi * GRID_SCALE) + 9) / GRID_SCALE
     assert np.array_equal(est.evaluate(grid), moved.evaluate(grid + m))
+
+
+@pytest.mark.parametrize("mode_name", sorted(MODES))
+@pytest.mark.parametrize("basis_name", ["haar", "spline"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ints=LATTICE)
+def test_json_round_trip(basis_name, mode_name, haar, spline, ints):
+    # the written estimate reads back as the same estimate
+    cfg = EstimatorConfig(basis=haar if basis_name == "haar" else spline,
+                          mode=MODES[mode_name])
+    x = np.asarray(ints, dtype=float) / 1024.0
+    est = estimate(Sample.from_data(x), cfg)
+    back = estimate_from_json_dict(json.loads(json.dumps(est.to_json_dict())))
+    assert back == est
+
+    lo, hi = est.support_hull() or (x.min(), x.max())
+    grid = np.linspace(lo - 1.0, hi + 1.0, 1001)
+    assert back.evaluate(grid).tobytes() == est.evaluate(grid).tobytes()
