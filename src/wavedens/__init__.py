@@ -64,8 +64,6 @@ from .signals import (
     mixture_gd,
     mixture_hk,
     signal_by_name,
-    true_coefficient,
-    true_sigma_sq,
 )
 
 __version__ = "0.1.0"

@@ -36,8 +36,6 @@ __all__ = [
     "support_interval",
 ]
 
-DEFAULT_GRID_EXPONENT = 12
-
 # Dual low-pass filter of the spline pair, taps at integer shifts -2..3.
 # The analysis wavelet is derived from it by the alternating-flip relation
 # g_k = (-1)^k h~_{1-k}; the synthesis wavelet combines two half-shifts of
@@ -237,9 +235,7 @@ def _cascade_samples(taps, offset, grid_exponent, tol, max_iter):
     )
 
 
-def build_spline_basis(grid_exponent: int = DEFAULT_GRID_EXPONENT,
-                       *, tol: float = 1e-10,
-                       max_iter: int = 60) -> BiorthogonalBasis:
+def build_spline_basis(grid_exponent: int = 12) -> BiorthogonalBasis:
     """Construct the spline biorthogonal pair.
 
     Analysis side: box scaling function and the exact piecewise-constant
@@ -252,14 +248,12 @@ def build_spline_basis(grid_exponent: int = DEFAULT_GRID_EXPONENT,
     ----------
     grid_exponent : int
         Dyadic tabulation resolution; must be at least 10.
-    tol, max_iter :
-        Fixed-point stopping rule of the cascade iteration.
 
     Raises
     ------
     CascadeError
-        If the refinement iteration does not converge within ``max_iter``
-        iterations, which signals a bad filter.
+        If the refinement iteration does not reach a sup-norm step of
+        1e-10 within 60 iterations, which signals a bad filter.
     """
     if grid_exponent < 10:
         raise ValueError("grid_exponent must be at least 10")
@@ -269,7 +263,7 @@ def build_spline_basis(grid_exponent: int = DEFAULT_GRID_EXPONENT,
     phit_lo = _DUAL_OFFSET
     phit_hi = _DUAL_OFFSET + len(_DUAL_LOWPASS) - 1
     phit_samples = _cascade_samples(_DUAL_LOWPASS, _DUAL_OFFSET,
-                                    grid_exponent, tol, max_iter)
+                                    grid_exponent, 1e-10, 60)
     phi_tilde = TabulatedFunction(float(phit_lo), float(phit_hi),
                                   grid_exponent, phit_samples)
 
@@ -297,18 +291,18 @@ def build_spline_basis(grid_exponent: int = DEFAULT_GRID_EXPONENT,
                              phi_tilde=phi_tilde, psi_tilde=psi_tilde, r=2.0)
 
 
-@functools.lru_cache(maxsize=4)
-def spline_basis(grid_exponent: int = DEFAULT_GRID_EXPONENT) -> BiorthogonalBasis:
-    """Cached accessor for the spline pair (construction is deterministic)."""
-    return build_spline_basis(grid_exponent)
+@functools.lru_cache(maxsize=1)
+def spline_basis() -> BiorthogonalBasis:
+    """The spline pair at the default resolution.  One shared instance, so
+    configs naming it can share a level scan."""
+    return build_spline_basis()
 
 
-def basis_by_name(name: str,
-                  grid_exponent: int = DEFAULT_GRID_EXPONENT) -> BiorthogonalBasis:
+def basis_by_name(name: str) -> BiorthogonalBasis:
     if name == "haar":
         return haar_basis()
     if name == "spline":
-        return spline_basis(grid_exponent)
+        return spline_basis()
     raise ValueError(f"unknown basis {name!r}; expected 'haar' or 'spline'")
 
 

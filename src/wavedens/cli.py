@@ -52,14 +52,6 @@ class CliError(Exception):
     pass
 
 
-class _ManifestParams(dict):
-    """Manifest params; a key a handler reads but the manifest lacks is a
-    :class:`CliError` naming it."""
-
-    def __missing__(self, key):
-        raise CliError(f"manifest params lack {key!r}")
-
-
 def _outdir(path_arg) -> Path:
     path = path_arg or os.environ.get("WAVEDENS_OUTDIR") or "."
     out = Path(path)
@@ -235,7 +227,48 @@ def run_from_manifest(manifest_path: str, outdir: Path) -> None:
         raise CliError(f"manifest names unknown command {command!r}")
     if not isinstance(doc.get("params"), dict):
         raise CliError(f"manifest {manifest_path} has no params object")
-    _HANDLERS[command](_ManifestParams(doc["params"]), outdir)
+    _check_params(command, doc["params"])
+    _HANDLERS[command](doc["params"], outdir)
+
+
+def _check_params(command: str, params: dict) -> None:
+    """Raise :class:`CliError` unless each flag of the command has a param
+    holding a value the flag could have produced: one of its choices, a
+    value of its type (or null, for an optional flag without a default),
+    or for a ``_LIST_PARAMS`` key a list of that element type.  Keys that
+    name no flag, such as an old ``workers``, pass unchecked."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for action in sub.choices[command]._actions:
+        key = action.dest
+        if key in ("help", "outdir"):
+            continue
+        if key not in params:
+            raise CliError(f"manifest params lack {key!r}")
+        value = params[key]
+        if key in _LIST_PARAMS:
+            kind = _LIST_PARAMS[key]
+            ok = isinstance(value, list) and all(_is(v, kind) for v in value)
+            want = f"a list of {kind.__name__}"
+        elif action.choices is not None:
+            ok = value in action.choices
+            want = "one of " + ", ".join(action.choices)
+        else:
+            kind = action.type or str
+            nullable = action.default is None and not action.required
+            ok = _is(value, kind) or (nullable and value is None)
+            want = kind.__name__ + (" or null" if nullable else "")
+        if not ok:
+            raise CliError(f"manifest param {key!r} must be {want}, "
+                           f"got {value!r}")
+
+
+def _is(value, kind) -> bool:
+    """``value`` is a JSON value of flag type ``kind``: ``float`` takes any
+    number, and a boolean is no number."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +343,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--outdir", default=None)
 
     return parser
+
+
+# params that _params_from_args writes as lists, by element type
+_LIST_PARAMS = {"gammas": float, "values": float, "methods": str}
 
 
 def _params_from_args(args) -> dict:

@@ -54,6 +54,7 @@ __all__ = [
     "variance_tilde",
     "threshold",
     "estimate",
+    "true_level_values",
     "oracle_estimate",
     "besov_seminorm",
     "estimate_from_json_dict",
@@ -115,6 +116,9 @@ class Mode:
                              "use practical-gamma for another gamma")
         if self.kind == "theoretical-gamma" and self.c < 1:
             raise ValueError("c must be >= 1")
+        if self.kind != "theoretical-gamma" and (self.c, self.c_prime) != (1, 0):
+            raise ValueError(f"the {self.kind} rule needs c = 1 and c' = 0; "
+                             "c and c' cap the levels of theoretical-gamma")
 
     @property
     def positive_part(self) -> bool:
@@ -409,16 +413,13 @@ class DensityEstimate:
         }
 
 
-def estimate_from_json_dict(doc: dict,
-                            basis: Optional[BiorthogonalBasis] = None) -> DensityEstimate:
+def estimate_from_json_dict(doc: dict) -> DensityEstimate:
     if doc.get("format") != "wavedens-estimate-v1":
         raise ValueError(f"unrecognized estimate format {doc.get('format')!r}")
-    if basis is None:
-        basis = basis_by_name(doc["basis"])
     mode = Mode(doc["mode"]["kind"], gamma=doc["mode"]["gamma"],
                 c=doc["mode"]["c"], c_prime=doc["mode"]["c_prime"])
     kept = tuple(KeptCoefficient(*row) for row in doc["kept"])
-    return DensityEstimate(kept=kept, basis=basis,
+    return DensityEstimate(kept=kept, basis=basis_by_name(doc["basis"]),
                            positive_part=bool(doc["positive_part"]),
                            n=int(doc["n"]), mode=mode, j0=int(doc["j0"]))
 
@@ -445,6 +446,26 @@ def estimate(sample: Sample, config: EstimatorConfig) -> DensityEstimate:
                            n=sample.n, mode=config.mode, j0=table.j0)
 
 
+def true_level_values(signal, basis: BiorthogonalBasis, j: int,
+                      ks) -> tuple[np.ndarray, np.ndarray]:
+    """True coefficients and variances for all translates ``ks`` at level j.
+
+    The analysis functions are step functions, so both integrals reduce to
+    differences of the signal's cdf across the (scaled) breakpoints:
+    ``beta = amp * sum_i v_i dF_i`` and
+    ``sigma^2 = amp^2 * sum_i v_i^2 dF_i - beta^2``.
+    """
+    ks = np.asarray(ks, dtype=float)
+    step_fn, amp, scale = level_function(basis, j)
+    pts = (step_fn.breakpoints[None, :] + ks[:, None]) / scale
+    df = np.diff(signal.cdf(pts), axis=1)
+    # row-wise reductions so results do not depend on the batch size
+    beta = amp * np.sum(df * step_fn.values, axis=1)
+    second = (amp * amp) * np.sum(df * step_fn.values ** 2, axis=1)
+    sigma_sq = np.maximum(0.0, second - beta * beta)
+    return beta, sigma_sq
+
+
 def oracle_estimate(sample: Sample, signal, config: EstimatorConfig) -> DensityEstimate:
     """Benchmark estimate keeping exactly the cells whose true coefficient
     beats its own sampling noise: keep ``beta_hat`` iff
@@ -454,8 +475,6 @@ def oracle_estimate(sample: Sample, signal, config: EstimatorConfig) -> DensityE
     exactly-zero empirical coefficient would contribute nothing).  Not a
     realizable estimator; benchmark only.
     """
-    from .signals import true_level_values
-
     table = coefficient_table(sample, config)
     beta_true = np.empty(len(table))
     sigma_sq_true = np.empty(len(table))

@@ -76,20 +76,24 @@ class GridSpec:
         return self.lo + np.arange(self.npoints) * self.step
 
 
-def default_grid(signal: TestSignal, estimates: Sequence = (),
-                 step: float = DEFAULT_GRID_STEP,
-                 base_interval: Optional[tuple[float, float]] = None) -> GridSpec:
-    """Grid covering the signal's effective support and every estimate's
-    reconstruction hull, padded by one unit on each side.  The step doubles
-    as needed to respect the grid-size cap (wide supports trade resolution
-    for coverage)."""
+def _required_interval(signal: TestSignal, estimates) -> tuple[float, float]:
+    """The signal's effective support joined with every estimate's
+    reconstruction hull: the interval an ISE grid must cover."""
     lo, hi = signal.effective_support
-    if base_interval is not None:
-        lo, hi = min(lo, base_interval[0]), max(hi, base_interval[1])
     for est in estimates:
         hull = est.support_hull()
         if hull is not None:
             lo, hi = min(lo, hull[0]), max(hi, hull[1])
+    return lo, hi
+
+
+def default_grid(signal: TestSignal, estimates: Sequence = (),
+                 step: float = DEFAULT_GRID_STEP) -> GridSpec:
+    """Grid covering the signal's effective support and every estimate's
+    reconstruction hull, padded by one unit on each side.  The step doubles
+    as needed to respect the grid-size cap (wide supports trade resolution
+    for coverage)."""
+    lo, hi = _required_interval(signal, estimates)
     lo, hi = lo - 1.0, hi + 1.0
     while (hi - lo) / step > MAX_GRID_POINTS:
         step *= 2.0
@@ -104,10 +108,7 @@ def ise(est, signal: TestSignal, grid: GridSpec) -> float:
     effective support and the estimate's hull; a violation raises
     :class:`GridCoverageError` naming the uncovered interval.
     """
-    req_lo, req_hi = signal.effective_support
-    hull = est.support_hull()
-    if hull is not None:
-        req_lo, req_hi = min(req_lo, hull[0]), max(req_hi, hull[1])
+    req_lo, req_hi = _required_interval(signal, [est])
     tol = 1e-9
     if grid.lo > req_lo + tol or grid.hi < req_hi - tol:
         missing = []
@@ -204,7 +205,7 @@ def replication_seed(master_seed: int, rep: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(master_seed), int(rep)])
 
 
-def _run_replication(signal, n, methods, master_seed, rep, step, base_interval):
+def _run_replication(signal, n, methods, master_seed, rep):
     """One replication: one sample and its level scans, one ISE per method."""
     sample = signal.sample(replication_seed(master_seed, rep), n)
     out = []
@@ -215,15 +216,12 @@ def _run_replication(signal, n, methods, master_seed, rep, step, base_interval):
             est = kernel_mod.fit_kernel(sample)
         else:
             raise ValueError(f"unknown method kind {m.kind!r}")
-        grid = default_grid(signal, [est], step=step, base_interval=base_interval)
-        out.append(ise(est, signal, grid))
+        out.append(ise(est, signal, default_grid(signal, [est])))
     return out
 
 
 def mise_sweep(signal: TestSignal, n: int, methods: Sequence[MethodSpec],
-               replications: int, master_seed: int, *,
-               step: float = DEFAULT_GRID_STEP,
-               base_interval: Optional[tuple[float, float]] = None) -> list[RiskReport]:
+               replications: int, master_seed: int) -> list[RiskReport]:
     """Seeded Monte-Carlo risk study: one report per method.
 
     Within a replication every method is fitted on the identical sample
@@ -233,8 +231,7 @@ def mise_sweep(signal: TestSignal, n: int, methods: Sequence[MethodSpec],
     if replications < 1:
         raise ValueError("need at least one replication")
     table = np.asarray([
-        _run_replication(signal, n, methods, master_seed, rep, step,
-                         base_interval)
+        _run_replication(signal, n, methods, master_seed, rep)
         for rep in range(replications)
     ], dtype=float)  # (replications, methods)
     return [
@@ -244,35 +241,30 @@ def mise_sweep(signal: TestSignal, n: int, methods: Sequence[MethodSpec],
     ]
 
 
-def _parameter_sweep(values, signal_at, base_at, n, methods, replications,
-                     master_seed, step) -> list[RiskReport]:
-    """One :func:`mise_sweep` per value; ``base_at(value)`` as its grid base."""
+def _parameter_sweep(values, signal_at, n, methods, replications,
+                     master_seed) -> list[RiskReport]:
+    """One :func:`mise_sweep` on ``signal_at(value)`` per value."""
     return [replace(rep, parameter=float(v))
             for v in values
             for rep in mise_sweep(signal_at(v), n, methods, replications,
-                                  master_seed, step=step,
-                                  base_interval=base_at(v))]
+                                  master_seed)]
 
 
 def support_sweep(d_values: Sequence[float], n: int,
                   methods: Sequence[MethodSpec], replications: int,
-                  master_seed: int, *,
-                  step: float = DEFAULT_GRID_STEP) -> list[RiskReport]:
-    """Risk study across the two-component separation d; the integration
-    grid always covers at least [-10, d + 10]."""
-    return _parameter_sweep(d_values, mixture_gd,
-                            lambda d: (-10.0, float(d) + 10.0), n, methods,
-                            replications, master_seed, step)
+                  master_seed: int) -> list[RiskReport]:
+    """Risk study across the two-component separation d."""
+    return _parameter_sweep(d_values, mixture_gd, n, methods, replications,
+                            master_seed)
 
 
 def tail_sweep(df_values: Sequence[float], n: int,
                methods: Sequence[MethodSpec], replications: int,
-               master_seed: int, *,
-               step: float = DEFAULT_GRID_STEP) -> list[RiskReport]:
+               master_seed: int) -> list[RiskReport]:
     """Risk study across the tail-weight parameter of the heavy-tailed
     mixture; grids widen (and coarsen under the point cap) automatically."""
-    return _parameter_sweep(df_values, mixture_hk, lambda df: None, n,
-                            methods, replications, master_seed, step)
+    return _parameter_sweep(df_values, mixture_hk, n, methods, replications,
+                            master_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Analytic test densities with exact evaluation, seeded sampling and
-closed-form access to true wavelet coefficients.
+"""Analytic test densities with exact evaluation and seeded sampling.
 
 Every signal provides a pdf, a cdf (vectorized, used to integrate the
 piecewise-constant analysis functions exactly), a deterministic seeded
@@ -13,10 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import t as _student_t
+from scipy.special import ndtr, stdtr, stdtrit
 
-from .basis import BiorthogonalBasis, CoefficientIndex, level_function
 from .estimator import Sample
 
 __all__ = [
@@ -29,17 +26,10 @@ __all__ = [
     "mixture_gd",
     "mixture_hk",
     "signal_by_name",
-    "true_coefficient",
-    "true_sigma_sq",
-    "true_level_values",
 ]
 
 _TAIL_MASS = 1e-9
 _REJECTION_CAP = 10 ** 7
-
-
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 class TestSignal:
@@ -63,10 +53,11 @@ class TestSignal:
         raise NotImplementedError
 
     def sample(self, seed, n: int) -> Sample:
-        """n i.i.d. draws, sorted; identical seed gives identical output."""
+        """n i.i.d. draws (a :class:`Sample` is sorted); identical seed
+        gives identical output."""
         if n < 2:
             raise ValueError("need n >= 2")
-        return Sample(np.sort(self._draw(_rng(seed), n)))
+        return Sample(self._draw(np.random.default_rng(seed), n))
 
     def mass_outside(self, lo: float, hi: float) -> float:
         return float(self.cdf(lo) + self.sf(hi))
@@ -137,10 +128,10 @@ class _StudentT:
         return self._pdf_const * (1.0 + x * x / self.df) ** (-(self.df + 1.0) / 2.0)
 
     def cdf(self, x):
-        return _student_t.cdf(np.asarray(x, dtype=float), self.df)
+        return stdtr(self.df, np.asarray(x, dtype=float))
 
     def sf(self, x):
-        return _student_t.sf(np.asarray(x, dtype=float), self.df)
+        return stdtr(self.df, -np.asarray(x, dtype=float))
 
     def draw(self, rng, n):
         # ratio construction: exact distribution from the seeded generator
@@ -149,7 +140,7 @@ class _StudentT:
         return z / np.sqrt(v / self.df)
 
     def bracket(self):
-        q = _student_t.ppf(1.0 - _TAIL_MASS / 4.0, self.df)
+        q = stdtrit(self.df, 1.0 - _TAIL_MASS / 4.0)
         return -float(q), float(q)
 
 
@@ -323,40 +314,3 @@ def signal_by_name(name: str, **params) -> TestSignal:
     raise ValueError(
         f"unknown signal {name!r}; expected uniform, gauss, gd, hk or bumps")
 
-
-# ---------------------------------------------------------------------------
-# true coefficients by exact integration of the piecewise-constant side
-
-def true_level_values(signal: TestSignal, basis: BiorthogonalBasis,
-                      j: int, ks) -> tuple[np.ndarray, np.ndarray]:
-    """True coefficients and variances for all translates ``ks`` at level j.
-
-    The analysis functions are step functions, so both integrals reduce to
-    cdf differences across the (scaled) breakpoints:
-    ``beta = amp * sum_i v_i dF_i`` and
-    ``sigma^2 = amp^2 * sum_i v_i^2 dF_i - beta^2``.
-    """
-    ks = np.asarray(ks, dtype=float)
-    step_fn, amp, scale = level_function(basis, j)
-    pts = (step_fn.breakpoints[None, :] + ks[:, None]) / scale
-    df = np.diff(signal.cdf(pts), axis=1)
-    # row-wise reductions so results do not depend on the batch size
-    beta = amp * np.sum(df * step_fn.values, axis=1)
-    second = (amp * amp) * np.sum(df * step_fn.values ** 2, axis=1)
-    sigma_sq = np.maximum(0.0, second - beta * beta)
-    return beta, sigma_sq
-
-
-def true_coefficient(signal: TestSignal, basis: BiorthogonalBasis, idx) -> float:
-    """Exact integral of the analysis function at ``idx`` against the pdf."""
-    j, k = CoefficientIndex(*idx)
-    beta, _ = true_level_values(signal, basis, j, [k])
-    return float(beta[0])
-
-
-def true_sigma_sq(signal: TestSignal, basis: BiorthogonalBasis, idx) -> float:
-    """Exact coefficient variance factor: integral of the squared analysis
-    function against the pdf minus the squared true coefficient."""
-    j, k = CoefficientIndex(*idx)
-    _, sig = true_level_values(signal, basis, j, [k])
-    return float(sig[0])

@@ -12,7 +12,7 @@ def haar():
 @pytest.fixture(scope="session")
 def spline():
     # session-scoped: the cascade runs once for the whole suite
-    return spline_basis(12)
+    return spline_basis()
 
 
 @pytest.fixture

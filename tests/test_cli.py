@@ -87,6 +87,14 @@ class TestEstimateCommand:
         assert rc == 2
         assert "practical-gamma" in capsys.readouterr().err
         assert not (tmp_path / "out" / "estimate.json").exists()
+        # c and c' would be echoed into estimate.json without any effect
+        for mode in ("practical", "practical-gamma"):
+            for flags in (["--c", "5"], ["--c-prime", "3"]):
+                rc = main(["estimate", "--input", str(data_csv), "--mode",
+                           mode, *flags, "-o", str(tmp_path / "out")])
+                assert rc == 2
+                assert "theoretical-gamma" in capsys.readouterr().err
+                assert not (tmp_path / "out" / "estimate.json").exists()
 
     def test_dyadic_overflow_errors(self, tmp_path, capsys):
         path = tmp_path / "wild.csv"
@@ -242,7 +250,13 @@ class TestManifestRerun:
         (lambda doc: {**doc, "params": {k: v for k, v in doc["params"].items()
                                         if k != "mu"}},
          "lack 'mu'"),
-    ], ids=["list", "no-params", "no-mu"])
+        (lambda doc: {**doc, "params": {**doc["params"], "n": "5"}},
+         "param 'n' must be int"),
+        (lambda doc: {**doc, "command": "bench", "params": {
+            "sweep": "support", "values": 10, "methods": ["H"], "n": 64,
+            "reps": 1, "seed": 0}},
+         "param 'values' must be a list of float"),
+    ], ids=["list", "no-params", "no-mu", "str-n", "scalar-values"])
     def test_malformed_manifest(self, damage, message, tmp_path, capsys):
         out = tmp_path / "orig"
         assert main(["sample", "--signal", "gauss", "--n", "5",

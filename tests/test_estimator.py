@@ -157,6 +157,13 @@ class TestThreshold:
             Mode("bogus")
         with pytest.raises(ValueError, match="practical-gamma"):
             Mode("practical", gamma=2.0)
+        # c and c' set the theoretical level cap; other rules never read them
+        for kind in ("practical", "practical-gamma"):
+            for extra in ({"c": 5.0}, {"c_prime": 3.0},
+                          {"c": 1.0, "c_prime": -1.0}):
+                with pytest.raises(ValueError, match="theoretical-gamma"):
+                    Mode(kind, **extra)
+        Mode("theoretical-gamma", gamma=2.0, c=5.0, c_prime=3.0)
 
 
 class TestJ0:

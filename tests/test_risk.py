@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wavedens import estimator
-from wavedens.basis import basis_by_name, haar_basis
+from wavedens.basis import basis_by_name, haar_basis, spline_basis
 from wavedens.estimator import (
     DensityEstimate,
     EstimatorConfig,
@@ -31,7 +31,7 @@ from wavedens.risk import (
     write_replications_csv,
     write_summary_json,
 )
-from wavedens.signals import Bumps, Gauss, Uniform01, mixture_gd, mixture_hk
+from wavedens.signals import Bumps, Gauss, Uniform01, mixture_hk
 
 
 def _haar_estimate(rows, positive=True):
@@ -134,6 +134,16 @@ class TestMethods:
         with pytest.raises(ValueError, match="valid methods"):
             resolve_methods(["S", "Q"])
 
+    def test_one_spline_instance(self):
+        # every way of naming the spline pair gives one object, so fits
+        # through either name share the sample's one level scan
+        assert spline_basis() is basis_by_name("spline")
+        sample = Gauss(0.5, 0.25).sample(11, 512)
+        direct = estimate(sample, EstimatorConfig(basis=spline_basis(),
+                                                  mode=practical()))
+        assert direct == estimate(sample, method_from_code("S").config())
+        assert len(sample._scans) == 1
+
 
 class TestSweeps:
     def test_single_replication_mean_is_the_value(self):
@@ -214,11 +224,6 @@ class TestSweeps:
         assert [r.method_id for r in reports] == ["H", "K"]
         assert all(r.parameter == 10.0 for r in reports)
         assert all(r.replications == 2 for r in reports)
-
-    def test_support_sweep_grid_extends(self):
-        for d in (10.0, 70.0):
-            g = default_grid(mixture_gd(d), base_interval=(-10.0, d + 10.0))
-            assert g.lo <= -10.0 and g.hi >= d + 10.0
 
     def test_tail_sweep_runs(self):
         (report,) = tail_sweep([16.0], 64, resolve_methods(["H"]), 2, 3)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 from scipy.special import ndtr
 
+from wavedens.estimator import true_level_values
 from wavedens.signals import (
     Bumps,
     Gauss,
@@ -14,9 +16,6 @@ from wavedens.signals import (
     mixture_gd,
     mixture_hk,
     signal_by_name,
-    true_coefficient,
-    true_level_values,
-    true_sigma_sq,
 )
 
 ALL_SIGNALS = [
@@ -98,6 +97,19 @@ class TestGaussAndMixtures:
         s = mixture_hk(2).sample(4, 10 ** 4).observations
         assert np.max(np.abs(s)) > 50.0
 
+    @pytest.mark.parametrize("df", [0.5, 1.0, 2.0, 3.7, 4.0, 8.0, 16.0, 100.0])
+    def test_student_component_matches_scipy_stats(self, df, rng):
+        # the special-function cdf, sf and quantile agree bit for bit with
+        # scipy.stats.t, far tails and infinities included
+        t = mixture_hk(df).components[0]
+        scales = 10.0 ** rng.integers(0, 7, 4000)
+        x = np.concatenate([rng.standard_normal(4000) * scales,
+                            [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf]])
+        assert np.array_equal(t.cdf(x), stats.t.cdf(x, df))
+        assert np.array_equal(t.sf(x), stats.t.sf(x, df))
+        q = float(stats.t.ppf(1.0 - 1e-9 / 4.0, df))
+        assert t.bracket() == (-q, q)
+
     def test_hk_weights_sum_validated(self):
         sig = mixture_hk(4)
         assert_allclose(np.sum(sig.weights), 1.0)
@@ -150,38 +162,45 @@ class TestBumps:
             b.sample(0, 100)
 
 
+def _true_cell(signal, basis, idx):
+    """(beta, sigma^2) of one cell, through a batch of one translate."""
+    j, k = idx
+    beta, sigma_sq = true_level_values(signal, basis, j, [k])
+    return float(beta[0]), float(sigma_sq[0])
+
+
 class TestTrueCoefficients:
     def test_uniform_detail_coefficients_vanish(self, haar):
-        assert true_coefficient(Uniform01(), haar, (3, 2)) == 0.0
+        assert _true_cell(Uniform01(), haar, (3, 2))[0] == 0.0
 
     def test_uniform_father_coefficient(self, haar):
-        assert true_coefficient(Uniform01(), haar, (-1, 0)) == 1.0
+        assert _true_cell(Uniform01(), haar, (-1, 0))[0] == 1.0
 
     def test_gauss_symmetry_and_plug_in(self, haar):
         sig = Gauss(0.5, 0.25)
-        got = true_coefficient(sig, haar, (0, 0))
+        got = _true_cell(sig, haar, (0, 0))[0]
         want = (ndtr(0.0) - ndtr(-2.0)) - (ndtr(2.0) - ndtr(0.0))
         assert_allclose(got, want, atol=1e-15)
         assert abs(got) < 1e-12
 
     def test_uniform_sigma_values(self, haar):
-        assert true_sigma_sq(Uniform01(), haar, (0, 0)) == 1.0
-        assert true_sigma_sq(Uniform01(), haar, (-1, 0)) == 0.0
+        assert _true_cell(Uniform01(), haar, (0, 0))[1] == 1.0
+        assert _true_cell(Uniform01(), haar, (-1, 0))[1] == 0.0
 
     @pytest.mark.parametrize("signal", ALL_SIGNALS, ids=lambda s: s.name)
     def test_sigma_nonnegative(self, signal, spline, rng):
         for _ in range(20):
             j = int(rng.integers(-1, 8))
             k = int(rng.integers(-8, 80))
-            assert true_sigma_sq(signal, spline, (j, k)) >= 0.0
+            assert _true_cell(signal, spline, (j, k))[1] >= 0.0
 
     def test_level_values_match_scalar_ops(self, spline):
         sig = Gauss(0.5, 0.25)
         ks = np.arange(-4, 9)
         beta, sig_sq = true_level_values(sig, spline, 2, ks)
+        # a batch of translates gives the bits of one-translate batches
         for i, k in enumerate(ks):
-            assert beta[i] == true_coefficient(sig, spline, (2, int(k)))
-            assert sig_sq[i] == true_sigma_sq(sig, spline, (2, int(k)))
+            assert (beta[i], sig_sq[i]) == _true_cell(sig, spline, (2, int(k)))
 
     def test_empirical_tracks_true_at_large_n(self, haar, rng):
         # law-of-large-numbers sanity on 50 random cells
@@ -195,8 +214,8 @@ class TestTrueCoefficients:
                 (2.0 ** j * x - k) < 0.5, 1.0, -1.0) * (
                 ((2.0 ** j * x - k) >= 0) & ((2.0 ** j * x - k) <= 1.0))
             beta_hat = float(np.sum(vals)) / n
-            beta = true_coefficient(sig, haar, (j, k))
-            sigma = math.sqrt(true_sigma_sq(sig, haar, (j, k)))
+            beta, sigma_sq = _true_cell(sig, haar, (j, k))
+            sigma = math.sqrt(sigma_sq)
             assert abs(beta_hat - beta) <= 5.0 * sigma / math.sqrt(n)
 
 
