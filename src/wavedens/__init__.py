@@ -41,7 +41,7 @@ from .estimator import (
     variance_hat,
     variance_tilde,
 )
-from .kernel import KernelEstimate, eval_kernel, fit_kernel, lscv_score
+from .kernel import KernelEstimate, eval_kernel, fit_kernel
 from .risk import (
     GridCoverageError,
     GridSpec,
@@ -56,7 +56,6 @@ from .risk import (
 )
 from .signals import (
     Bumps,
-    BumpsSpec,
     Gauss,
     Mixture,
     TestSignal,

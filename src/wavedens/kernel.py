@@ -6,6 +6,14 @@ Gaussian kernel (pairwise kernel evaluations at scale sqrt(2) h and h), so
 no numerical integration is needed.  The bandwidth minimizing the score
 over a fixed log-spaced grid around the normal-reference value is selected,
 ties broken toward the larger bandwidth.
+
+Both passes skip work whose result is zero.  The sample is sorted, so the
+pairs of the score are walked in blocks of rows, and each bandwidth reads
+only the columns whose kernel term does not underflow to an exact 0.0;
+no n-by-n array is built.  The fitted density sums, at each point, only
+the observations within ``_REACH`` bandwidths, so it is exactly 0 outside
+``support_hull()``; each term it drops is below exp(-_REACH^2 / 2) times
+the kernel's peak.
 """
 
 from __future__ import annotations
@@ -17,13 +25,22 @@ import numpy as np
 
 from .estimator import Sample
 
-__all__ = ["KernelEstimate", "lscv_score", "fit_kernel", "eval_kernel",
+__all__ = ["KernelEstimate", "fit_kernel", "eval_kernel",
            "silverman_bandwidth", "bandwidth_grid"]
 
 _GRID_SIZE = 40
 _GRID_SPAN = (0.05, 5.0)
-_EVAL_CHUNK = 4096
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Evaluation window and hull half-width in bandwidths.  A power of two, so
+# that _REACH * h is exact and every point beyond the hull lies at least
+# _REACH bandwidths from every observation in floating point too.
+_REACH = 8.0
+# Grid points per evaluation chunk: the chunk's window stays in cache.
+_EVAL_CHUNK = 256
+# Sample rows per block of the cross-validation pairs.
+_LSCV_BLOCK = 32
+# exp(-q) rounds to exactly 0.0 for every q past this bound.
+_EXP_UNDERFLOW = 745.2
 
 
 @dataclass(frozen=True)
@@ -39,8 +56,15 @@ class KernelEstimate:
         return eval_kernel(self, grid)
 
     def support_hull(self) -> tuple[float, float]:
+        """Interval outside which the estimate is exactly zero."""
         lo, hi = self.sample.data_range
-        return lo - 8.0 * self.bandwidth, hi + 8.0 * self.bandwidth
+        return lo - _REACH * self.bandwidth, hi + _REACH * self.bandwidth
+
+    @property
+    def at_grid_edge(self) -> bool:
+        """True when the selected bandwidth is the smallest or the largest
+        one searched, so the score's minimum may lie outside the grid."""
+        return self.bandwidth in (self.cv_scores[0][0], self.cv_scores[-1][0])
 
 
 def silverman_bandwidth(sample: Sample) -> float:
@@ -59,28 +83,36 @@ def bandwidth_grid(sample: Sample) -> np.ndarray:
     return h0 * np.logspace(math.log10(lo), math.log10(hi), _GRID_SIZE)
 
 
-def _pairwise_sq_diffs(x: np.ndarray) -> np.ndarray:
-    """Squared differences over the strict upper triangle, flattened."""
-    d = x[:, None] - x[None, :]
-    return (d * d)[np.triu_indices(len(x), k=1)]
-
-
-def _lscv_from_sq_diffs(d2: np.ndarray, n: int, h: float) -> float:
-    # integral(fhat^2): pairwise Gaussian kernel at scale sqrt(2) h, i.e.
-    # exp(-d^2/4h^2); the leave-one-out sum needs the kernel at scale h,
-    # which is the square of the same exponential.
-    e = np.exp(-d2 / (4.0 * h * h))
-    quad = (n + 2.0 * float(np.sum(e))) / (n * n * 2.0 * h * math.sqrt(math.pi))
-    loo = 4.0 * float(np.sum(e * e)) / (n * (n - 1) * h * _SQRT_2PI)
+def _lscv_scores(x: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Cross-validation scores of the sorted sample ``x`` at each
+    bandwidth of ``hs``, from the pairs i < j in blocks of rows."""
+    n = len(x)
+    four_h2 = 4.0 * hs * hs
+    s1 = np.zeros(len(hs))  # sum over pairs of exp(-d^2/4h^2)
+    s2 = np.zeros(len(hs))  # sum over pairs of its square, exp(-d^2/2h^2)
+    reach = 2.0 * hs * math.sqrt(_EXP_UNDERFLOW)
+    buf = np.empty(_LSCV_BLOCK * n)
+    for r0 in range(0, n - 1, _LSCV_BLOCK):
+        r1 = min(r0 + _LSCV_BLOCK, n - 1)
+        # columns past ends[k] are out of reach of every row of the block
+        ends = np.searchsorted(x, x[r1 - 1] + reach, side="right") - (r0 + 1)
+        d2 = x[r0:r1, None] - x[None, r0 + 1:r0 + 1 + ends[-1]]
+        d2 *= d2
+        diag = d2[:, :r1 - r0]  # column c is j = r0 + 1 + c; keep j > i
+        diag[np.tri(*diag.shape, k=-1, dtype=bool)] = np.inf
+        for k, m in enumerate(ends):
+            # integral(fhat^2): pairwise Gaussian kernel at scale sqrt(2) h,
+            # i.e. exp(-d^2/4h^2); the leave-one-out sum needs the kernel at
+            # scale h, which is the square of the same exponential.
+            e = buf[:(r1 - r0) * m].reshape(r1 - r0, m)
+            np.divide(d2[:, :m], -four_h2[k], out=e)
+            np.exp(e, out=e)
+            s1[k] += np.sum(e)
+            e *= e
+            s2[k] += np.sum(e)
+    quad = (n + 2.0 * s1) / (n * n * 2.0 * hs * math.sqrt(math.pi))
+    loo = 4.0 * s2 / (n * (n - 1) * hs * _SQRT_2PI)
     return quad - loo
-
-
-def lscv_score(sample: Sample, h: float) -> float:
-    """Least-squares cross-validation score at bandwidth ``h`` (O(n^2))."""
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    x = sample.observations
-    return _lscv_from_sq_diffs(_pairwise_sq_diffs(x), sample.n, h)
 
 
 def fit_kernel(sample: Sample) -> KernelEstimate:
@@ -89,8 +121,7 @@ def fit_kernel(sample: Sample) -> KernelEstimate:
     score (the data span overflows float64) raises ``ValueError``."""
     with np.errstate(over="ignore", invalid="ignore"):
         hs = bandwidth_grid(sample)
-        d2 = _pairwise_sq_diffs(sample.observations)
-        scores = np.array([_lscv_from_sq_diffs(d2, sample.n, h) for h in hs])
+        scores = _lscv_scores(sample.observations, hs)
     if not np.all(np.isfinite(scores)):
         raise ValueError("cross-validation score is not finite; the data "
                          "span overflows float64 arithmetic")
@@ -101,24 +132,27 @@ def fit_kernel(sample: Sample) -> KernelEstimate:
 
 def eval_kernel(estimate: KernelEstimate, grid) -> np.ndarray:
     """Gaussian kernel density values on ``grid``; nonnegative everywhere
-    and of unit mass up to the far-tail truncation.
+    and of unit mass up to the truncation at ``_REACH`` bandwidths.
 
-    Per grid chunk only the observations within 40 bandwidths contribute;
-    beyond that the kernel underflows to an exact float zero, so the
-    windowing changes nothing but the cost on wide grids.
+    Each point sums only the observations closer than ``_REACH``
+    bandwidths, whatever else the grid holds, so the values are exactly 0
+    outside ``support_hull()``.
     """
     x = estimate.sample.observations  # sorted
     h = estimate.bandwidth
     pts = np.atleast_1d(np.asarray(grid, dtype=float))
     out = np.zeros_like(pts)
     norm = 1.0 / (estimate.sample.n * h * _SQRT_2PI)
-    reach = 40.0 * h
+    reach = _REACH * h
     for start in range(0, len(pts), _EVAL_CHUNK):
         chunk = pts[start:start + _EVAL_CHUNK]
-        i0 = int(np.searchsorted(x, np.min(chunk) - reach))
-        i1 = int(np.searchsorted(x, np.max(chunk) + reach))
-        if i0 == i1:
-            continue
+        i0 = int(np.searchsorted(x, np.min(chunk) - reach, side="left"))
+        i1 = int(np.searchsorted(x, np.max(chunk) + reach, side="right"))
         z = (chunk[:, None] - x[None, i0:i1]) / h
-        out[start:start + _EVAL_CHUNK] = norm * np.sum(np.exp(-0.5 * z * z), axis=1)
+        z *= z
+        near = z < _REACH * _REACH
+        z *= -0.5
+        np.exp(z, out=z)
+        z *= near
+        out[start:start + _EVAL_CHUNK] = norm * np.sum(z, axis=1)
     return out

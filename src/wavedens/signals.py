@@ -9,7 +9,6 @@ sampler, and an effective support: the interval carrying all but at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, stdtr, stdtrit
@@ -22,7 +21,6 @@ __all__ = [
     "Gauss",
     "Mixture",
     "Bumps",
-    "BumpsSpec",
     "mixture_gd",
     "mixture_hk",
     "signal_by_name",
@@ -218,41 +216,31 @@ def mixture_hk(df: float) -> Mixture:
     )
 
 
-@dataclass(frozen=True)
-class BumpsSpec:
-    """Parameter vectors of the renormalized bumps density: 11 bump
-    positions, heights and widths, plus the conventional rounded value of
-    the normalizing constant (the pdf itself divides by the exact
-    integral so that it has unit mass)."""
-
-    positions: tuple = (0.1, 0.13, 0.15, 0.23, 0.25, 0.4,
-                        0.44, 0.65, 0.76, 0.78, 0.81)
-    heights: tuple = (4.0, 5.0, 3.0, 4.0, 5.0, 4.2, 2.1, 4.3, 3.1, 5.1, 4.2)
-    widths: tuple = (0.005, 0.005, 0.006, 0.01, 0.01, 0.03,
-                     0.01, 0.01, 0.005, 0.008, 0.005)
-    reported_normalizer: float = 0.284
+# The eleven peaks of the bumps density: positions, heights and widths.
+_BUMP_POSITIONS = np.array([0.1, 0.13, 0.15, 0.23, 0.25, 0.4,
+                            0.44, 0.65, 0.76, 0.78, 0.81])
+_BUMP_HEIGHTS = np.array([4.0, 5.0, 3.0, 4.0, 5.0, 4.2, 2.1, 4.3, 3.1, 5.1, 4.2])
+_BUMP_WIDTHS = np.array([0.005, 0.005, 0.006, 0.01, 0.01, 0.03,
+                         0.01, 0.01, 0.005, 0.008, 0.005])
 
 
 class Bumps(TestSignal):
     """Renormalized bumps density on [0, 1]: a sum of eleven sharp
-    rational-decay peaks, divided by its exact integral."""
+    rational-decay peaks, divided by its exact integral (close to the
+    conventional rounded value 0.284)."""
 
     name = "bumps"
     effective_support = (0.0, 1.0)
 
-    def __init__(self, spec: BumpsSpec = BumpsSpec()):
-        self.spec = spec
-        self._p = np.asarray(spec.positions)
-        self._g = np.asarray(spec.heights)
-        self._w = np.asarray(spec.widths)
+    def __init__(self):
         self.normalizer = float(self._unnormalized_mass(1.0))
         grid = np.arange(0.0, 1.0 + 2.0 ** -14, 2.0 ** -14)
         self._envelope = 1.05 * float(np.max(self.pdf(grid)))
 
     def _unnormalized_pdf(self, x):
         x = np.asarray(x, dtype=float)
-        u = 1.0 + np.abs(x[..., None] - self._p) / self._w
-        out = np.sum(self._g * u ** -4.0, axis=-1)
+        u = 1.0 + np.abs(x[..., None] - _BUMP_POSITIONS) / _BUMP_WIDTHS
+        out = np.sum(_BUMP_HEIGHTS * u ** -4.0, axis=-1)
         return np.where((x >= 0.0) & (x <= 1.0), out, 0.0)
 
     def _unnormalized_mass(self, x):
@@ -260,10 +248,11 @@ class Bumps(TestSignal):
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
         def anti(u):
-            return np.sign(u) * (self._w / 3.0) * (1.0 - (1.0 + np.abs(u) / self._w) ** -3.0)
+            w = _BUMP_WIDTHS
+            return np.sign(u) * (w / 3.0) * (1.0 - (1.0 + np.abs(u) / w) ** -3.0)
 
-        parts = anti(x[..., None] - self._p) - anti(-self._p)
-        return np.sum(self._g * parts, axis=-1)
+        parts = anti(x[..., None] - _BUMP_POSITIONS) - anti(-_BUMP_POSITIONS)
+        return np.sum(_BUMP_HEIGHTS * parts, axis=-1)
 
     def pdf(self, x):
         return self._unnormalized_pdf(x) / self.normalizer

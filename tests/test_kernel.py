@@ -1,6 +1,7 @@
 """Tests for the cross-validated kernel baseline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,31 @@ from numpy.testing import assert_allclose
 
 from wavedens.estimator import Sample
 from wavedens.kernel import (
+    _REACH,
     bandwidth_grid,
     eval_kernel,
     fit_kernel,
-    lscv_score,
     silverman_bandwidth,
 )
-from wavedens.signals import Gauss
+from wavedens.signals import Bumps, Gauss, mixture_gd, mixture_hk
+
+
+def _pairwise_sq_diffs(x):
+    """Squared differences over the strict upper triangle, flattened."""
+    d = x[:, None] - x[None, :]
+    return (d * d)[np.triu_indices(len(x), k=1)]
+
+
+def lscv_score(sample, h):
+    """Reference least-squares cross-validation score at bandwidth ``h``,
+    from all n(n-1)/2 pairs at once (O(n^2) memory)."""
+    if h <= 0:
+        raise ValueError("bandwidth must be positive")
+    n = sample.n
+    e = np.exp(-_pairwise_sq_diffs(sample.observations) / (4.0 * h * h))
+    quad = (n + 2.0 * float(np.sum(e))) / (n * n * 2.0 * h * math.sqrt(math.pi))
+    loo = 4.0 * float(np.sum(e * e)) / (n * (n - 1) * h * math.sqrt(2.0 * math.pi))
+    return quad - loo
 
 
 class TestLscvScore:
@@ -109,6 +128,40 @@ class TestFitKernel:
         sample = Sample.from_data(rng.normal(size=100))
         assert fit_kernel(sample) == fit_kernel(sample)
 
+    @pytest.mark.parametrize("signal", [mixture_gd(10), mixture_gd(70),
+                                        mixture_hk(2), Bumps()],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_scores_match_pairwise_reference(self, signal, n):
+        # the blocked, windowed scan sums the same terms in another order
+        sample = signal.sample(7, n)
+        fit = fit_kernel(sample)
+        hs = np.array([h for h, _ in fit.cv_scores])
+        want = np.array([lscv_score(sample, h) for h in hs])
+        assert_allclose([s for _, s in fit.cv_scores], want, rtol=1e-13)
+        best = len(want) - 1 - int(np.argmin(want[::-1]))
+        assert fit.bandwidth == hs[best]
+
+    def test_memory_stays_linear(self):
+        # the pairwise reference would hold 8.4M-entry arrays (~450 MB)
+        sample = mixture_hk(2).sample(3, 4096)
+        tracemalloc.start()
+        try:
+            fit_kernel(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    def test_grid_edge_flag(self):
+        # the grid scales with the standard deviation, so far-apart
+        # clusters push the score's minimum below its smallest bandwidth
+        far = fit_kernel(mixture_gd(70).sample(1, 1024))
+        assert far.at_grid_edge
+        assert far.bandwidth == far.cv_scores[0][0]
+        near = fit_kernel(Gauss(0.0, 1.0).sample(1, 1024))
+        assert not near.at_grid_edge
+
     def test_tie_break_toward_larger_h(self):
         # constant scores force the tie-break: must pick the last grid point
         sample = Sample.from_data([0.0, 1.0, 2.0])
@@ -153,10 +206,30 @@ class TestEvalKernel:
         assert np.all(vals >= 0.0)
         assert eval_kernel(fit, np.array([1e6]))[0] == 0.0
 
-    def test_matches_dense_reference(self, rng):
-        sample = Sample.from_data(rng.normal(size=64))
+    def test_exactly_zero_outside_hull(self):
+        # one reach for the hull and the evaluation window, so the values
+        # one ulp past either end of the hull are exact zeros; so are the
+        # gap points between two clusters that no observation reaches
+        sample = mixture_gd(30).sample(4, 256)
         fit = fit_kernel(sample)
-        x = np.linspace(-4, 4, 333)
-        assert_allclose(eval_kernel(fit, x),
-                        _dense_kde(sample.observations, fit.bandwidth, x),
-                        rtol=1e-12)
+        lo, hi = fit.support_hull()
+        outside = [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
+        assert list(eval_kernel(fit, outside)) == [0.0, 0.0]
+        x = sample.observations
+        gap = np.argmax(np.diff(x))
+        mid = 0.5 * (x[gap] + x[gap + 1])
+        assert x[gap + 1] - x[gap] > 2 * _REACH * fit.bandwidth
+        assert eval_kernel(fit, [mid])[0] == 0.0
+
+    def test_matches_dense_reference(self, rng):
+        # the dense sum keeps the terms past _REACH bandwidths, each below
+        # exp(-_REACH^2 / 2) times the kernel's peak
+        normal = Sample.from_data(rng.normal(size=64))
+        two_clusters = mixture_gd(30).sample(4, 256)
+        for sample, x in [(normal, np.linspace(-4, 4, 333)),
+                          (two_clusters, np.linspace(-8, 38, 20001))]:
+            fit = fit_kernel(sample)
+            h = fit.bandwidth
+            dense = _dense_kde(sample.observations, h, x)
+            dropped = math.exp(-0.5 * _REACH ** 2) / (h * math.sqrt(2 * math.pi))
+            assert_allclose(eval_kernel(fit, x), dense, rtol=1e-12, atol=dropped)
