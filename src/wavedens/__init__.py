@@ -30,7 +30,6 @@ from .estimator import (
     KeptCoefficient,
     Mode,
     Sample,
-    besov_seminorm,
     coefficient_table,
     estimate,
     oracle_estimate,

@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,8 @@ from .risk import (
 from .signals import signal_by_name
 
 MANIFEST_FORMAT = "wavedens-manifest-v1"
+# rows per joined string when writing a CSV
+_CSV_BLOCK = 8192
 
 
 class CliError(Exception):
@@ -66,20 +69,39 @@ def _write_manifest(outdir: Path, command: str, params: dict, outputs: list):
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
-def _write_grid_csv(path: Path, xs, ys):
+def _write_csv(path: Path, header: str, *columns):
+    """Write ``header``, then one line of comma-separated float ``repr``s
+    per row of the equal-length columns.  Rows go out in blocks, each one
+    joined string, so the text of a large file is never held at once."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,density\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
+        fh.write(header)
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            reprs = (map(repr, c[start:start + _CSV_BLOCK].tolist())
+                     for c in columns)
+            fh.write("\n".join(map(",".join, zip(*reprs))) + "\n")
 
 
 def _read_one_column_csv(path: str) -> np.ndarray:
-    values = []
+    """The numbers of a file with one per line; blank lines are skipped,
+    and the first line that is not one number is named in the error."""
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot open {path}: {exc}") from None
     with fh:
+        try:
+            # bulk parse first; any file it cannot read as one column (an
+            # empty one only warns) goes through the line loop below
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)
+                table = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+            if table.shape[1] == 1 and len(table) >= 2:
+                return table[:, 0]
+        except (ValueError, UserWarning):
+            pass
+        fh.seek(0)
+        values = []
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -148,7 +170,8 @@ def run_estimate(params: dict, outdir: Path) -> None:
     (outdir / "estimate.json").write_text(
         json.dumps(est.to_json_dict(), indent=2, sort_keys=True) + "\n",
         encoding="ascii")
-    _write_grid_csv(outdir / "estimate_grid.csv", xs, est.evaluate(xs))
+    _write_csv(outdir / "estimate_grid.csv", "x,density\n", xs,
+               est.evaluate(xs))
     _write_manifest(outdir, "estimate", params,
                     ["estimate.json", "estimate_grid.csv"])
 
@@ -199,9 +222,7 @@ def run_bench(params: dict, outdir: Path) -> None:
 def run_sample(params: dict, outdir: Path) -> None:
     signal = _signal_from_params(params)
     sample = signal.sample(params["seed"], params["n"])
-    with open(outdir / "sample.csv", "w", encoding="ascii") as fh:
-        for v in sample.observations:
-            fh.write(f"{float(v)!r}\n")
+    _write_csv(outdir / "sample.csv", "", sample.observations)
     _write_manifest(outdir, "sample", params, ["sample.csv"])
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "estimate",
     "true_level_values",
     "oracle_estimate",
-    "besov_seminorm",
     "estimate_from_json_dict",
 ]
 
@@ -230,6 +229,15 @@ def threshold(cell, n, mode: Mode) -> float:
 # ---------------------------------------------------------------------------
 # level scan
 
+def _runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run index of each entry of ``v`` and the start of each run of equal
+    values."""
+    head = np.empty(len(v), dtype=bool)
+    head[0] = True
+    np.not_equal(v[1:], v[:-1], out=head[1:])
+    return np.cumsum(head) - 1, np.flatnonzero(head)
+
+
 def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
     """Exact per-cell sums at one level.
 
@@ -238,6 +246,14 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
     ``s2 = sum psi_jk(X_i)^2`` and ``njk`` the count of observations in the
     closed support.  Cells never touched by data are not materialized (their
     empirical coefficient is exactly zero).
+
+    ``x`` must be sorted.  Observation i meets translate ``floor(2^j x_i)
+    + c`` for a few offsets c, and the sorted bases come in runs of equal
+    values, so the cells are found per (offset, run): the cost is O(n) per
+    offset plus a sort of the distinct cells, never of the observations,
+    and that sort merges one ascending run of cells per offset.  Each cell
+    adds its terms offset after offset, observations ascending within an
+    offset, so the sums do not depend on how the cells were found.
     """
     step_fn, amp, scale = level_function(basis, j)
     a, b = step_fn.support
@@ -246,29 +262,53 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
     t = scale * x
     base = np.floor(t)
     frac = t - base
+    run, starts = _runs(base)  # x is sorted, so base is too
+    run_base = base[starts]
+    # (run of each observation, runs met, observations per run met)
+    every_run = (run, np.arange(len(starts)), np.diff(starts, append=len(x)))
 
-    k_parts, v_parts = [], []
+    slots, keys = [], []
     # Integer offsets c with u = frac - c possibly inside [a, b]; frac in
     # [0, 1), so c ranges over ceil(-b) .. floor(1 - a).
     for c in range(math.ceil(-b), math.floor(1.0 - a) + 1):
         u = frac - c
         inside = (u >= a) & (u <= b)
-        if not np.any(inside):
+        if inside.all():
+            uu, (obs_run, runs, counts) = u, every_run
+        elif inside.any():
+            uu, obs_run = u[inside], run[inside]  # obs_run ascends
+            _, firsts = _runs(obs_run)
+            runs = obs_run[firsts]
+            counts = np.diff(firsts, append=len(obs_run))
+        else:
             continue
-        uu = u[inside]
         piece = np.searchsorted(bp, uu, side="right") - 1
         piece = np.clip(piece, 0, len(vals) - 1)
-        k_parts.append((base[inside] + c).astype(np.int64))
-        v_parts.append(amp * vals[piece])
-    # b - a >= 1: every observation lands in some translate
-    ks = np.concatenate(k_parts)
-    vs = np.concatenate(v_parts)
-    # compact the touched translates before aggregating: memory stays O(n)
-    # however widely the data are spread
-    k_out, inv = np.unique(ks, return_inverse=True)
-    s1 = np.bincount(inv, weights=vs, minlength=len(k_out))
-    s2 = np.bincount(inv, weights=vs * vs, minlength=len(k_out))
-    njk = np.bincount(inv, minlength=len(k_out))
+        slots.append((obs_run, runs, counts, amp * vals[piece]))
+        keys.append(run_base[runs] + c)
+    # b - a >= 1: every observation lands in some translate.  Each offset's
+    # cells ascend; the stable sort merges those runs into distinct cells.
+    keys = np.concatenate(keys).astype(np.int64)
+    order = np.argsort(keys, kind="stable")
+    sorted_cell, firsts = _runs(keys[order])
+    k_out = keys[order[firsts]]
+    cell = np.empty_like(sorted_cell)
+    cell[order] = sorted_cell
+
+    # add.at adds in index order, offset after offset: each cell sums its
+    # terms in the same order whatever the merge did
+    s1, s2 = np.zeros(len(k_out)), np.zeros(len(k_out))
+    njk = np.zeros(len(k_out), dtype=np.int64)
+    cell_of_run = np.empty(len(run_base), dtype=np.int64)
+    at = 0
+    for obs_run, runs, counts, v in slots:
+        slot_cell = cell[at:at + len(runs)]
+        at += len(runs)
+        np.add.at(njk, slot_cell, counts)
+        cell_of_run[runs] = slot_cell
+        obs_cell = cell_of_run[obs_run]
+        np.add.at(s1, obs_cell, v)
+        np.add.at(s2, obs_cell, v * v)
     return k_out, s1, s2, njk
 
 
@@ -348,6 +388,22 @@ def coefficient_table(sample: Sample, config: EstimatorConfig) -> CoefficientTab
                             kept=np.abs(beta) >= eta, j0=j0)
 
 
+def eval_ascending(fn, grid) -> np.ndarray:
+    """``fn`` at the points of ``grid``, of any shape and order.  ``fn``
+    maps an ascending 1-D array to its values there; a grid that is not
+    ascending is sorted for it (stably) and its values are put back in the
+    grid's order, so every order of the same points gives the same values
+    bit for bit."""
+    x = np.atleast_1d(np.asarray(grid, dtype=float))
+    shape, x = x.shape, x.ravel()
+    if np.all(x[1:] >= x[:-1]):
+        return fn(x).reshape(shape)
+    order = np.argsort(x, kind="stable")
+    out = np.empty_like(x)
+    out[order] = fn(x[order])
+    return out.reshape(shape)
+
+
 @dataclass(frozen=True)
 class DensityEstimate:
     """Sparse thresholded reconstruction.
@@ -380,13 +436,11 @@ class DensityEstimate:
         """Pointwise reconstruction on ``grid``, clipped at zero when the
         estimate carries the positive-part flag.  Exactly zero outside the
         kept reconstruction supports."""
-        x = np.atleast_1d(np.asarray(grid, dtype=float))
-        shape, x = x.shape, x.ravel()
-        # each kept cell touches one run of an ascending grid
-        order = None if np.all(x[1:] >= x[:-1]) else np.argsort(x, kind="stable")
-        if order is not None:
-            x = x[order]
+        return eval_ascending(self._evaluate_ascending, grid)
+
+    def _evaluate_ascending(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
+        # each kept cell touches one run of the ascending points
         for row in self.kept:
             fn, amp, scale = level_function(self.basis, row.j, synthesis=True)
             lo, hi = reconstruction_support(self.basis, (row.j, row.k))
@@ -395,9 +449,7 @@ class DensityEstimate:
             out[i0:i1] += row.value * amp * fn.eval(scale * x[i0:i1] - row.k)
         if self.positive_part:
             np.maximum(out, 0.0, out=out)
-        if order is not None:
-            out[order] = out.copy()
-        return out.reshape(shape)
+        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -486,38 +538,3 @@ def oracle_estimate(sample: Sample, signal, config: EstimatorConfig) -> DensityE
     kept = _kept_rows(table, survive, itertools.repeat(0.0))
     return DensityEstimate(kept=kept, basis=config.basis, positive_part=False,
                            n=sample.n, mode=config.mode, j0=table.j0)
-
-
-def besov_seminorm(coeffs: Mapping, alpha: float, p: float, q: float) -> float:
-    """Sequential smoothness norm of a finite coefficient map.
-
-    Father row in an l_p norm plus the q-weighted level sums
-    ``[sum_j (2^{j(alpha + 1/2 - 1/p)} ||(b_jk)_k||_p)^q]^{1/q}``, with the
-    usual sup conventions at p or q infinite.  Diagnostic only.
-    """
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be >= 1")
-    levels: dict[int, list[float]] = {}
-    for idx, value in coeffs.items():
-        j, _k = idx
-        levels.setdefault(int(j), []).append(float(value))
-
-    def lp(values: Iterable[float]) -> float:
-        arr = np.abs(np.asarray(list(values), dtype=float))
-        if arr.size == 0:
-            return 0.0
-        if math.isinf(p):
-            return float(arr.max())
-        return float(np.sum(arr ** p) ** (1.0 / p))
-
-    father = lp(levels.get(-1, []))
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    weighted = [2.0 ** (j * (alpha + 0.5 - inv_p)) * lp(vals)
-                for j, vals in sorted(levels.items()) if j >= 0]
-    if not weighted:
-        return father
-    if math.isinf(q):
-        detail = max(weighted)
-    else:
-        detail = float(np.sum(np.asarray(weighted) ** q) ** (1.0 / q))
-    return father + detail

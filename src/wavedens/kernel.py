@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import Sample
+from .estimator import Sample, eval_ascending
 
 __all__ = ["KernelEstimate", "fit_kernel", "eval_kernel",
            "silverman_bandwidth", "bandwidth_grid"]
@@ -136,23 +136,27 @@ def eval_kernel(estimate: KernelEstimate, grid) -> np.ndarray:
 
     Each point sums only the observations closer than ``_REACH``
     bandwidths, whatever else the grid holds, so the values are exactly 0
-    outside ``support_hull()``.
+    outside ``support_hull()``.  The points are walked in ascending order,
+    whatever the grid's order, so each chunk's window stays narrow.
     """
     x = estimate.sample.observations  # sorted
     h = estimate.bandwidth
-    pts = np.atleast_1d(np.asarray(grid, dtype=float))
-    out = np.zeros_like(pts)
     norm = 1.0 / (estimate.sample.n * h * _SQRT_2PI)
     reach = _REACH * h
-    for start in range(0, len(pts), _EVAL_CHUNK):
-        chunk = pts[start:start + _EVAL_CHUNK]
-        i0 = int(np.searchsorted(x, np.min(chunk) - reach, side="left"))
-        i1 = int(np.searchsorted(x, np.max(chunk) + reach, side="right"))
-        z = (chunk[:, None] - x[None, i0:i1]) / h
-        z *= z
-        near = z < _REACH * _REACH
-        z *= -0.5
-        np.exp(z, out=z)
-        z *= near
-        out[start:start + _EVAL_CHUNK] = norm * np.sum(z, axis=1)
-    return out
+
+    def density(pts):
+        out = np.zeros_like(pts)
+        for start in range(0, len(pts), _EVAL_CHUNK):
+            chunk = pts[start:start + _EVAL_CHUNK]
+            i0 = int(np.searchsorted(x, chunk[0] - reach, side="left"))
+            i1 = int(np.searchsorted(x, chunk[-1] + reach, side="right"))
+            z = (chunk[:, None] - x[None, i0:i1]) / h
+            z *= z
+            near = z < _REACH * _REACH
+            z *= -0.5
+            np.exp(z, out=z)
+            z *= near
+            out[start:start + _EVAL_CHUNK] = norm * np.sum(z, axis=1)
+        return out
+
+    return eval_ascending(density, grid)

@@ -57,9 +57,6 @@ class TestSignal:
             raise ValueError("need n >= 2")
         return Sample(self._draw(np.random.default_rng(seed), n))
 
-    def mass_outside(self, lo: float, hi: float) -> float:
-        return float(self.cdf(lo) + self.sf(hi))
-
     def tail_sq_upper(self, lo: float, hi: float) -> float:
         """Upper estimate of the squared-density mass outside [lo, hi];
         valid because every signal's tails are monotone out there."""

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wavedens.basis import haar_basis, spline_basis
+
+# property tests replay the same examples on every run, keep no example
+# database and have no per-example deadline; each test sets its own count
+settings.register_profile("wavedens", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("wavedens")
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from wavedens import cli
 from wavedens.cli import main
-from wavedens.signals import Gauss
+from wavedens.signals import Bumps, Gauss
 
 
 @pytest.fixture
@@ -130,6 +131,88 @@ class TestEstimateCommand:
                      "-o", str(tmp_path / "o")]) == 2
 
 
+def _read_both_ways(path, monkeypatch):
+    """The CSV reader's values from its bulk parse and from its line loop,
+    which it falls back to when the bulk parse fails."""
+    bulk = cli._read_one_column_csv(str(path))
+
+    def refuse(*args, **kwargs):
+        raise ValueError("bulk parse refused")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli.np, "loadtxt", refuse)
+        lines = cli._read_one_column_csv(str(path))
+    return bulk, lines
+
+
+class TestReadCsv:
+    """One number per line; blank lines are skipped, and the first line
+    that is not one number is named."""
+
+    @pytest.mark.parametrize("text, want", [
+        ("\n\n1.5\n\n-2\n\n\n", [1.5, -2.0]),
+        ("1.5\r\n-2\r\n\r\n0.25\r\n", [1.5, -2.0, 0.25]),
+        ("  1.5 \n\t-2\t\n \t 0.25\t \n", [1.5, -2.0, 0.25]),
+        ("1_000\n+1e3\n", [1000.0, 1000.0]),
+        ("+1e3\n-0\n.5\n1E-3\n", [1000.0, -0.0, 0.5, 0.001]),
+        ("0.1\n0.2", [0.1, 0.2]),
+    ])
+    def test_bulk_parse_reads_what_the_line_loop_reads(
+            self, text, want, tmp_path, monkeypatch):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        bulk, lines = _read_both_ways(path, monkeypatch)
+        assert bulk.tobytes() == lines.tobytes()
+        assert bulk.tobytes() == np.array(want).tobytes()
+
+    def test_bulk_parse_reads_shortest_reprs_exactly(self, tmp_path,
+                                                    monkeypatch):
+        values = np.random.default_rng(5).standard_cauchy(5000)
+        path = tmp_path / "in.csv"
+        path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        bulk, lines = _read_both_ways(path, monkeypatch)
+        assert bulk.tobytes() == lines.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("text, line", [
+        ("\ufeff1.0\n2.0\n", 1),
+        ("\n\n1.0\n\n1.0 2.0\n3.0\n", 5),
+        ("1.0\n2.0\n# note\n", 3),
+        ("1.0, 2.0\n3.0\n", 1),
+        ("1.0 2.0\n", 1),
+        ("1 2\n3 4\n5 6\n", 1),
+    ])
+    def test_bad_line_is_named(self, text, line, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert main(["estimate", "--input", str(path),
+                     "-o", str(tmp_path / "o")]) == 2
+        assert f"line {line}: expected a single number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_values_exit_2(self, bad, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.5\n{bad}\n0.25\n")
+        assert main(["estimate", "--input", str(path),
+                     "-o", str(tmp_path / "o")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+class TestWriteCsv:
+    def test_grid_bytes_match_per_line_repr(self, tmp_path):
+        # more rows than one written block, and the reprs that switch to
+        # exponent form or carry a sign
+        xs = np.linspace(-3.0, 5.0, 3 * cli._CSV_BLOCK + 7)
+        ys = np.random.default_rng(2).random(len(xs)) ** 9
+        ys[:6] = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 123456789.125]
+        path = tmp_path / "grid.csv"
+        cli._write_csv(path, "x,density\n", xs, ys)
+        want = "x,density\n" + "".join(
+            f"{float(x)!r},{float(y)!r}\n" for x, y in zip(xs, ys))
+        assert path.read_bytes() == want.encode("ascii")
+        cli._write_csv(path, "x,density\n", xs[:0], ys[:0])
+        assert path.read_bytes() == b"x,density\n"
+
+
 class TestCalibrateCommand:
     def test_minimal_run(self, tmp_path):
         out = tmp_path / "cal"
@@ -215,6 +298,14 @@ class TestSampleCommand:
         values = np.loadtxt(out1 / "sample.csv")
         assert len(values) == 50
         assert np.all(np.diff(values) >= 0)
+
+    def test_sample_bytes_are_one_repr_per_line(self, tmp_path):
+        out = tmp_path / "s"
+        assert main(["sample", "--signal", "bumps", "--n", "20000",
+                     "--seed", "4", "-o", str(out)]) == 0
+        obs = Bumps().sample(4, 20000).observations
+        want = "".join(f"{float(v)!r}\n" for v in obs)
+        assert (out / "sample.csv").read_bytes() == want.encode("ascii")
 
 
 class TestManifestRerun:

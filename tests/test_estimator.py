@@ -5,15 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavedens import estimator
-from wavedens.basis import CoefficientIndex, eval_decomposition, sup_norm
+from wavedens.basis import (
+    CoefficientIndex,
+    eval_decomposition,
+    level_function,
+    sup_norm,
+)
 from wavedens.estimator import (
     EstimatorConfig,
     Mode,
     Sample,
-    besov_seminorm,
     coefficient_table,
     estimate,
     estimate_from_json_dict,
@@ -51,6 +57,46 @@ def brute_force_cells(sample, basis, j0, k_window=600):
                 beta = float(np.sum(vals)) / sample.n
                 cells[(j, k)] = (beta, variance_hat(vals))
     return cells
+
+
+def unique_level_stats(x, basis, j):
+    """Reference level scan: every (observation, offset) translate goes
+    through ``np.unique``, an O(n log n) sort of all of them, and the sums
+    add in the same offset-major order as the library's scan."""
+    step_fn, amp, scale = level_function(basis, j)
+    a, b = step_fn.support
+    bp = step_fn.breakpoints
+    vals = step_fn.values
+    t = scale * x
+    base = np.floor(t)
+    frac = t - base
+    k_parts, v_parts = [], []
+    for c in range(math.ceil(-b), math.floor(1.0 - a) + 1):
+        u = frac - c
+        inside = (u >= a) & (u <= b)
+        if not np.any(inside):
+            continue
+        piece = np.searchsorted(bp, u[inside], side="right") - 1
+        piece = np.clip(piece, 0, len(vals) - 1)
+        k_parts.append((base[inside] + c).astype(np.int64))
+        v_parts.append(amp * vals[piece])
+    ks = np.concatenate(k_parts)
+    vs = np.concatenate(v_parts)
+    k_out, inv = np.unique(ks, return_inverse=True)
+    s1 = np.bincount(inv, weights=vs, minlength=len(k_out))
+    s2 = np.bincount(inv, weights=vs * vs, minlength=len(k_out))
+    njk = np.bincount(inv, minlength=len(k_out))
+    return k_out, s1, s2, njk
+
+
+def assert_scan_matches_unique(values, basis, levels):
+    x = Sample.from_data(values).observations
+    for j in levels:
+        got = estimator._level_stats(x, basis, j)
+        want = unique_level_stats(x, basis, j)
+        for name, g, w in zip(("ks", "s1", "s2", "njk"), got, want):
+            assert g.dtype == w.dtype, (j, name)
+            assert np.array_equal(g, w), (j, name)
 
 
 def table_cells(sample, config):
@@ -285,6 +331,64 @@ class TestEmpiricalCoefficients:
                 basis=haar, mode=practical(), j0_override=2))
 
 
+# the analysis breakpoints at level j are the multiples of 2^-(j+1), so a
+# point k / 2^m sits on one at every level j >= m - 1, and at coarser
+# levels too when k is even
+_DYADIC = np.arange(-3 * 2 ** 10, 3 * 2 ** 10 + 1, 7) / 2.0 ** 10
+_SCAN_CASES = {
+    "ties": np.repeat([-1.25, 0.1, 0.1 + 2.0 ** -20, 3.0, 7.5], [4, 9, 3, 1, 6]),
+    "dyadic breakpoints": np.concatenate([
+        _DYADIC, np.arange(-64, 65) / 2.0 ** 18, np.arange(-20, 21) / 4.0]),
+    "one ulp below breakpoints": np.nextafter(_DYADIC, -np.inf),
+    "around zero": np.array([-1e-17, 1e-17, 0.0, -0.0, 2.0 ** -1074, 0.5,
+                             0.5 - 2.0 ** -54, 1.0 - 2.0 ** -53,
+                             -(2.0 ** -53), 1.0, -1.0]),
+    "two equal values": np.array([0.3, 0.3]),
+}
+
+
+class TestLevelScan:
+    """The run-merging level scan matches the ``np.unique`` reference bit for
+    bit: the same cells, sums, squares and counts, at every level."""
+
+    @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+    @pytest.mark.parametrize("basis_name", ["haar", "spline"])
+    def test_matches_unique_reference(self, case, basis_name, haar, spline):
+        basis = haar if basis_name == "haar" else spline
+        assert_scan_matches_unique(_SCAN_CASES[case], basis, range(-1, 17))
+
+    @pytest.mark.parametrize("basis_name", ["haar", "spline"])
+    def test_heavy_tail_near_the_dyadic_guard(self, basis_name, haar, spline):
+        # Cauchy draws scaled so 2^j0 * max|x| lies just below 2^52
+        basis = haar if basis_name == "haar" else spline
+        draws = np.random.default_rng(7).standard_cauchy(3000)
+        j0 = 11
+        x = draws * (0.9 * 2.0 ** (52 - j0) / np.max(np.abs(draws)))
+        assert len(coefficient_table(Sample.from_data(x), EstimatorConfig(
+            basis=basis, mode=practical(), j0_override=j0))) > 0
+        assert_scan_matches_unique(x, basis, range(-1, j0 + 1))
+
+    def test_offset_reaching_the_far_end_of_the_support(self, spline):
+        # the spline wavelet lives on [-1, 2]; frac = 1e-17 gives u = frac + 2
+        # == 2.0 and u = frac - 1 == -1.0 after rounding, so the observation
+        # meets four translates, among them the one two below its base
+        x = np.array([1e-17, 0.75])
+        ks, _, _, njk = estimator._level_stats(x, spline, 0)
+        assert ks.tolist() == [-2, -1, 0, 1]
+        assert njk.tolist() == [1, 2, 2, 2]
+
+    @pytest.mark.parametrize("basis_name", ["haar", "spline"])
+    @settings(max_examples=150)
+    @given(values=st.lists(st.floats(-1e3, 1e3, allow_nan=False,
+                                     allow_subnormal=True),
+                           min_size=2, max_size=60),
+           level=st.integers(-1, 16))
+    def test_matches_unique_reference_on_random_samples(
+            self, basis_name, haar, spline, values, level):
+        basis = haar if basis_name == "haar" else spline
+        assert_scan_matches_unique(values, basis, [level])
+
+
 class TestEstimate:
     def test_keep_rule_soundness(self, spline, rng):
         sample = Sample.from_data(rng.normal(size=500))
@@ -512,30 +616,3 @@ class TestOracle:
             counts.append(len(oracle_estimate(sample, signal, cfg).kept))
         assert counts[0] <= counts[1] <= counts[2]
         assert counts[0] < counts[2]
-
-
-class TestBesovSeminorm:
-    def test_single_father_coefficient(self):
-        for alpha, p, q in [(0.5, 2, 2), (1.0, 1, math.inf), (2.0, math.inf, 3)]:
-            assert besov_seminorm({(-1, 0): 1.0}, alpha, p, q) == 1.0
-
-    def test_level_weight_plug_in(self):
-        # j=2, alpha=1, p=q=2: weight 2^{2*(1 + 1/2 - 1/2)} = 4
-        assert besov_seminorm({(2, 0): 1.0}, 1.0, 2, 2) == 4.0
-
-    def test_homogeneity(self, rng):
-        coeffs = {(int(rng.integers(-1, 6)), int(rng.integers(-5, 6))): float(v)
-                  for v in rng.normal(size=20)}
-        a = besov_seminorm(coeffs, 0.7, 2, 3)
-        b = besov_seminorm({k: 2 * v for k, v in coeffs.items()}, 0.7, 2, 3)
-        assert_allclose(b, 2 * a, rtol=1e-12)
-
-    def test_sup_conventions(self):
-        coeffs = {(0, 0): 3.0, (0, 1): -4.0, (1, 0): 1.0}
-        # p = inf: level norms are max |.|; q = inf: sup over levels
-        got = besov_seminorm(coeffs, 0.0, math.inf, math.inf)
-        assert got == max(2.0 ** (0.5 * 0) * 4.0, 2.0 ** 0.5 * 1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            besov_seminorm({}, 1.0, 0.5, 2)

@@ -206,6 +206,21 @@ class TestEvalKernel:
         assert np.all(vals >= 0.0)
         assert eval_kernel(fit, np.array([1e6]))[0] == 0.0
 
+    def test_grid_order_does_not_change_values(self):
+        # the points are evaluated in ascending order whatever the grid's
+        # order, so a shuffled or reversed grid gives the sorted grid's
+        # values bit for bit, in its own order
+        fit = fit_kernel(mixture_gd(70).sample(2, 512))
+        lo, hi = fit.support_hull()
+        grid = np.arange(lo - 1.0, hi + 1.0, 2.0 ** -6)
+        want = eval_kernel(fit, grid)
+        perm = np.random.default_rng(3).permutation(len(grid))
+        assert np.array_equal(eval_kernel(fit, grid[perm]), want[perm])
+        assert np.array_equal(eval_kernel(fit, grid[::-1]), want[::-1])
+        even = len(grid) - len(grid) % 2
+        assert np.array_equal(fit.evaluate(grid[perm][:even].reshape(-1, 2)),
+                              want[perm][:even].reshape(-1, 2))
+
     def test_exactly_zero_outside_hull(self):
         # one reach for the hull and the evaluation window, so the values
         # one ulp past either end of the hull are exact zeros; so are the

@@ -34,7 +34,7 @@ GRID_SCALE = 2.0 ** 12
 
 @pytest.mark.parametrize("mode_name", sorted(MODES))
 @pytest.mark.parametrize("basis_name", ["haar", "spline"])
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(ints=LATTICE, m=st.integers(-1000, 1000))
 def test_translation_invariance(basis_name, mode_name, haar, spline, ints, m):
     # support-freeness: the estimate of X + m is the estimate of X moved by m
@@ -56,7 +56,7 @@ def test_translation_invariance(basis_name, mode_name, haar, spline, ints, m):
 
 @pytest.mark.parametrize("mode_name", sorted(MODES))
 @pytest.mark.parametrize("basis_name", ["haar", "spline"])
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(ints=LATTICE)
 def test_json_round_trip(basis_name, mode_name, haar, spline, ints):
     # the written estimate reads back as the same estimate
