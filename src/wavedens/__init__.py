@@ -15,7 +15,6 @@ from .basis import (
     CoefficientIndex,
     StepFunction,
     TabulatedFunction,
-    build_spline_basis,
     eval_decomposition,
     eval_reconstruction,
     haar_basis,

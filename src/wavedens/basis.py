@@ -27,7 +27,6 @@ __all__ = [
     "CoefficientIndex",
     "CascadeError",
     "haar_basis",
-    "build_spline_basis",
     "spline_basis",
     "eval_decomposition",
     "eval_reconstruction",
@@ -44,6 +43,8 @@ _DUAL_LOWPASS = np.array([-1 / 16, 1 / 16, 1 / 2, 1 / 2, 1 / 16, -1 / 16])
 _DUAL_OFFSET = -2
 _PRIMAL_LOWPASS = np.array([1 / 2, 1 / 2])
 _PRIMAL_OFFSET = 0
+# the spline pair's synthesis functions are tabulated at step 2**-12
+_GRID_EXPONENT = 12
 
 
 class CascadeError(RuntimeError):
@@ -235,19 +236,15 @@ def _cascade_samples(taps, offset, grid_exponent, tol, max_iter):
     )
 
 
-def build_spline_basis(grid_exponent: int = 12) -> BiorthogonalBasis:
-    """Construct the spline biorthogonal pair.
+@functools.lru_cache(maxsize=1)
+def spline_basis() -> BiorthogonalBasis:
+    """The spline biorthogonal pair.  One shared instance, so configs
+    naming it can share a level scan.
 
     Analysis side: box scaling function and the exact piecewise-constant
     wavelet derived from the dual low-pass filter.  Synthesis side: scaling
-    function obtained by the cascade algorithm on a ``2**-grid_exponent``
-    dyadic grid, and the synthesis wavelet assembled from two half-shifts
-    of it.
-
-    Parameters
-    ----------
-    grid_exponent : int
-        Dyadic tabulation resolution; must be at least 10.
+    function obtained by the cascade algorithm on the ``2**-12`` dyadic
+    grid, and the synthesis wavelet assembled from two half-shifts of it.
 
     Raises
     ------
@@ -255,22 +252,20 @@ def build_spline_basis(grid_exponent: int = 12) -> BiorthogonalBasis:
         If the refinement iteration does not reach a sup-norm step of
         1e-10 within 60 iterations, which signals a bad filter.
     """
-    if grid_exponent < 10:
-        raise ValueError("grid_exponent must be at least 10")
     phi = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
     psi = _analysis_wavelet()
 
     phit_lo = _DUAL_OFFSET
     phit_hi = _DUAL_OFFSET + len(_DUAL_LOWPASS) - 1
     phit_samples = _cascade_samples(_DUAL_LOWPASS, _DUAL_OFFSET,
-                                    grid_exponent, 1e-10, 60)
+                                    _GRID_EXPONENT, 1e-10, 60)
     phi_tilde = TabulatedFunction(float(phit_lo), float(phit_hi),
-                                  grid_exponent, phit_samples)
+                                  _GRID_EXPONENT, phit_samples)
 
     # psi~(x) = phi~(2x) - phi~(2x - 1), supported on [lo/2, (hi+1)/2];
     # both arguments land on the phi~ grid, so the tabulation is exact
     # (no interpolation in the construction).
-    scale = 1 << grid_exponent
+    scale = 1 << _GRID_EXPONENT
     psit_lo = phit_lo / 2.0
     psit_hi = (phit_hi + 1) / 2.0
     m = np.arange(round((psit_hi - psit_lo) * scale) + 1)
@@ -282,20 +277,13 @@ def build_spline_basis(grid_exponent: int = 12) -> BiorthogonalBasis:
     take = np.clip(idx2, 0, len(phit_samples) - 1)
     b = np.where((idx2 >= 0) & (idx2 < len(phit_samples)),
                  phit_samples[take], 0.0)
-    psi_tilde = TabulatedFunction(psit_lo, psit_hi, grid_exponent, a - b)
+    psi_tilde = TabulatedFunction(psit_lo, psit_hi, _GRID_EXPONENT, a - b)
 
     # r records the vanishing-moment order of the analysis wavelet minus
     # one: psi is orthogonal to polynomials of degree <= r (checked in the
     # test suite by exact piecewise integration).
     return BiorthogonalBasis(name="spline", phi=phi, psi=psi,
                              phi_tilde=phi_tilde, psi_tilde=psi_tilde, r=2.0)
-
-
-@functools.lru_cache(maxsize=1)
-def spline_basis() -> BiorthogonalBasis:
-    """The spline pair at the default resolution.  One shared instance, so
-    configs naming it can share a level scan."""
-    return build_spline_basis()
 
 
 def basis_by_name(name: str) -> BiorthogonalBasis:

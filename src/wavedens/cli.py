@@ -16,6 +16,7 @@ The default output directory is taken from ``WAVEDENS_OUTDIR`` when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,9 +41,6 @@ from .risk import (
     resolve_methods,
     support_sweep,
     tail_sweep,
-    write_quartiles_csv,
-    write_replications_csv,
-    write_summary_json,
 )
 from .signals import signal_by_name
 
@@ -62,24 +60,23 @@ def _outdir(path_arg) -> Path:
     return out
 
 
-def _write_manifest(outdir: Path, command: str, params: dict, outputs: list):
-    doc = {"format": MANIFEST_FORMAT, "command": command,
-           "params": params, "outputs": sorted(outputs)}
-    (outdir / "manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="ascii")
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                    encoding="ascii")
 
 
 def _write_csv(path: Path, header: str, *columns):
-    """Write ``header``, then one line of comma-separated float ``repr``s
-    per row of the equal-length columns.  Rows go out in blocks, each one
-    joined string, so the text of a large file is never held at once."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
+    """Write ``header``, then one line per row of the equal-length columns,
+    each cell as its ``str`` (for a float, its round-trip ``repr``).  Rows
+    go out in blocks, each one joined string, so the text of a large file
+    is never held at once."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header)
         for start in range(0, len(columns[0]), _CSV_BLOCK):
-            reprs = (map(repr, c[start:start + _CSV_BLOCK].tolist())
-                     for c in columns)
-            fh.write("\n".join(map(",".join, zip(*reprs))) + "\n")
+            blocks = (c[start:start + _CSV_BLOCK] for c in columns)
+            cells = (map(str, b.tolist() if isinstance(b, np.ndarray) else b)
+                     for b in blocks)
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _read_one_column_csv(path: str) -> np.ndarray:
@@ -102,16 +99,19 @@ def _read_one_column_csv(path: str) -> np.ndarray:
             pass
         fh.seek(0)
         values = []
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise CliError(
-                    f"{path}: line {lineno}: expected a single number, "
-                    f"got {text!r}") from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise CliError(
+                        f"{path}: line {lineno}: expected a single number, "
+                        f"got {text!r}") from None
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if len(values) < 2:
         raise CliError(f"{path}: need at least 2 data rows, got {len(values)}")
     return np.asarray(values)
@@ -128,27 +128,15 @@ def _signal_from_params(params):
                           df=params["df"])
 
 
-def _parse_gammas(text: str) -> list:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise CliError("gamma range must look like start:stop:step")
-        start, stop, step = map(float, parts)
-        if step <= 0 or stop < start:
-            raise CliError("bad gamma range")
-        values = np.arange(start, stop + step / 2.0, step)
-        return [float(round(v, 12)) for v in values]
-    return [float(v) for v in text.split(",") if v]
-
-
 def _safe(code: str) -> str:
     return code.replace("*", "star")
 
 
 # ---------------------------------------------------------------------------
-# command handlers (params dicts are fully resolved; rerun reuses them)
+# command handlers (params dicts are fully resolved; rerun reuses them);
+# each returns the names of the files it wrote
 
-def run_estimate(params: dict, outdir: Path) -> None:
+def run_estimate(params: dict, outdir: Path) -> list:
     values = _read_one_column_csv(params["input"])
     if params["rescale"] is not None:
         if params["rescale"] <= 0:
@@ -167,16 +155,31 @@ def run_estimate(params: dict, outdir: Path) -> None:
     grid = GridSpec(grid_lo, grid_hi, params["grid_step"])
     xs = grid.points()
 
-    (outdir / "estimate.json").write_text(
-        json.dumps(est.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="ascii")
+    _write_json(outdir / "estimate.json", est.to_json_dict())
     _write_csv(outdir / "estimate_grid.csv", "x,density\n", xs,
                est.evaluate(xs))
-    _write_manifest(outdir, "estimate", params,
-                    ["estimate.json", "estimate_grid.csv"])
+    return ["estimate.json", "estimate_grid.csv"]
 
 
-def run_calibrate(params: dict, outdir: Path) -> None:
+def _write_reports(outdir: Path, reports, names) -> list:
+    """One ``replication,ise`` CSV per report, under its name, and the
+    aggregates of all of them in ``summary.json``."""
+    for report, name in zip(reports, names):
+        _write_csv(outdir / name, "replication,ise\n",
+                   range(len(report.ise_values)), report.ise_values)
+    _write_json(outdir / "summary.json", [
+        {
+            "signal": r.signal_id, "method": r.method_id,
+            "parameter": r.parameter, "n": r.n,
+            "replications": r.replications, "master_seed": r.master_seed,
+            "mean": r.mean, "median": r.median, "q25": r.q25, "q75": r.q75,
+        }
+        for r in reports
+    ])
+    return [*names, "summary.json"]
+
+
+def run_calibrate(params: dict, outdir: Path) -> list:
     signal = _signal_from_params(params)
     methods = [
         MethodSpec(code=f"PG{g:g}", kind="wavelet", basis_name=params["basis"],
@@ -185,21 +188,13 @@ def run_calibrate(params: dict, outdir: Path) -> None:
     ]
     reports = mise_sweep(signal, params["n"], methods, params["reps"],
                          params["seed"])
-    outputs = []
-    for g, report in zip(params["gammas"], reports):
-        name = f"replications_gamma_{g:g}.csv"
-        write_replications_csv(report, outdir / name)
-        outputs.append(name)
-    with open(outdir / "calibration.csv", "w", encoding="ascii") as fh:
-        fh.write("gamma,n_mise\n")
-        for g, report in zip(params["gammas"], reports):
-            fh.write(f"{g!r},{params['n'] * report.mean!r}\n")
-    write_summary_json(reports, outdir / "summary.json")
-    outputs += ["calibration.csv", "summary.json"]
-    _write_manifest(outdir, "calibrate", params, outputs)
+    _write_csv(outdir / "calibration.csv", "gamma,n_mise\n", params["gammas"],
+               [params["n"] * r.mean for r in reports])
+    names = [f"replications_gamma_{g:g}.csv" for g in params["gammas"]]
+    return ["calibration.csv", *_write_reports(outdir, reports, names)]
 
 
-def run_bench(params: dict, outdir: Path) -> None:
+def run_bench(params: dict, outdir: Path) -> list:
     try:
         methods = resolve_methods(params["methods"])
     except ValueError as exc:
@@ -207,23 +202,19 @@ def run_bench(params: dict, outdir: Path) -> None:
     sweep = support_sweep if params["sweep"] == "support" else tail_sweep
     reports = sweep(params["values"], params["n"], methods, params["reps"],
                     params["seed"])
-    outputs = []
-    for report in reports:
-        name = (f"replications_{_safe(report.method_id)}_"
-                f"{report.parameter:g}.csv")
-        write_replications_csv(report, outdir / name)
-        outputs.append(name)
-    write_quartiles_csv(reports, outdir / "quartiles.csv")
-    write_summary_json(reports, outdir / "summary.json")
-    outputs += ["quartiles.csv", "summary.json"]
-    _write_manifest(outdir, "bench", params, outputs)
+    fields = ("method_id", "parameter", "mean", "q25", "median", "q75")
+    _write_csv(outdir / "quartiles.csv", "method,parameter,mean,q25,median,q75\n",
+               *([getattr(r, f) for r in reports] for f in fields))
+    names = [f"replications_{_safe(r.method_id)}_{r.parameter:g}.csv"
+             for r in reports]
+    return ["quartiles.csv", *_write_reports(outdir, reports, names)]
 
 
-def run_sample(params: dict, outdir: Path) -> None:
+def run_sample(params: dict, outdir: Path) -> list:
     signal = _signal_from_params(params)
     sample = signal.sample(params["seed"], params["n"])
     _write_csv(outdir / "sample.csv", "", sample.observations)
-    _write_manifest(outdir, "sample", params, ["sample.csv"])
+    return ["sample.csv"]
 
 
 _HANDLERS = {
@@ -234,7 +225,8 @@ _HANDLERS = {
 }
 
 
-def run_from_manifest(manifest_path: str, outdir: Path) -> None:
+def _read_manifest(manifest_path: str) -> tuple:
+    """The (command, params) of a manifest, with the params checked."""
     try:
         doc = json.loads(Path(manifest_path).read_text(encoding="ascii"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -249,26 +241,22 @@ def run_from_manifest(manifest_path: str, outdir: Path) -> None:
     if not isinstance(doc.get("params"), dict):
         raise CliError(f"manifest {manifest_path} has no params object")
     _check_params(command, doc["params"])
-    _HANDLERS[command](doc["params"], outdir)
+    return command, doc["params"]
 
 
 def _check_params(command: str, params: dict) -> None:
     """Raise :class:`CliError` unless each flag of the command has a param
     holding a value the flag could have produced: one of its choices, a
     value of its type (or null, for an optional flag without a default),
-    or for a ``_LIST_PARAMS`` key a list of that element type.  Keys that
-    name no flag, such as an old ``workers``, pass unchecked."""
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    for action in sub.choices[command]._actions:
+    or for a list flag a list of its element type.  Keys that name no
+    flag, such as an old ``workers``, pass unchecked."""
+    for action in _flag_actions(command):
         key = action.dest
-        if key in ("help", "outdir"):
-            continue
         if key not in params:
             raise CliError(f"manifest params lack {key!r}")
         value = params[key]
-        if key in _LIST_PARAMS:
-            kind = _LIST_PARAMS[key]
+        if action.type in _LIST_TYPES:
+            kind = _LIST_TYPES[action.type]
             ok = isinstance(value, list) and all(_is(v, kind) for v in value)
             want = f"a list of {kind.__name__}"
         elif action.choices is not None:
@@ -295,6 +283,48 @@ def _is(value, kind) -> bool:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _list_flag(parse):
+    """``parse`` as an argparse ``type=``: its ``ValueError`` becomes a
+    usage error that names the flag and keeps the message."""
+    @functools.wraps(parse)
+    def convert(text: str) -> list:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+@_list_flag
+def _float_list(text: str) -> list:
+    return [float(v) for v in text.split(",") if v]
+
+
+@_list_flag
+def _gamma_list(text: str) -> list:
+    if ":" not in text:
+        return _float_list(text)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError("gamma range must look like start:stop:step")
+    start, stop, step = map(float, parts)
+    if step <= 0 or stop < start:
+        raise ValueError("bad gamma range")
+    values = np.arange(start, stop + step / 2.0, step)
+    return [float(round(v, 12)) for v in values]
+
+
+@_list_flag
+def _method_list(text: str) -> list:
+    codes = [m for m in text.split(",") if m]
+    resolve_methods(codes)  # an unknown code raises, naming the valid ones
+    return codes
+
+
+# element type of each list flag's converter
+_LIST_TYPES = {_gamma_list: float, _float_list: float, _method_list: str}
+
+
 def _add_signal_args(p: argparse.ArgumentParser):
     p.add_argument("--signal", required=True,
                    choices=["uniform", "gauss", "gd", "hk", "bumps"])
@@ -308,6 +338,7 @@ def _add_signal_args(p: argparse.ArgumentParser):
                    help="degrees of freedom of the heavy-tailed signal")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavedens",
@@ -336,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_signal_args(p)
     p.add_argument("--basis", default="haar", choices=["haar", "spline"])
     p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--gammas", default="0.25:2:0.25",
+    p.add_argument("--gammas", type=_gamma_list, default="0.25:2:0.25",
                    help="start:stop:step range or comma list")
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -344,9 +375,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="support/tail robustness sweep")
     p.add_argument("--sweep", required=True, choices=["support", "tail"])
-    p.add_argument("--values", required=True,
+    p.add_argument("--values", type=_float_list, required=True,
                    help="comma list, e.g. 10,30,50,70")
-    p.add_argument("--methods", default="S,H,S*,K",
+    p.add_argument("--methods", type=_method_list, default="S,H,S*,K",
                    help="comma list of method codes (S, H, S*, K)")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--reps", type=int, default=50)
@@ -366,49 +397,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# params that _params_from_args writes as lists, by element type
-_LIST_PARAMS = {"gammas": float, "values": float, "methods": str}
+def _flag_actions(command: str) -> list:
+    """The actions of the command's flags, one per key of its manifest
+    params: every action of the subcommand but ``--help`` and ``--outdir``."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions
+            if a.dest not in ("help", "outdir")]
 
 
 def _params_from_args(args) -> dict:
-    if args.command == "estimate":
-        return {
-            "input": os.path.abspath(args.input), "basis": args.basis,
-            "mode": args.mode, "gamma": args.gamma, "c": args.c,
-            "c_prime": args.c_prime, "j0": args.j0, "rescale": args.rescale,
-            "grid_step": args.grid_step, "grid_lo": args.grid_lo,
-            "grid_hi": args.grid_hi,
-        }
-    if args.command == "calibrate":
-        return {
-            "signal": args.signal, "mu": args.mu, "sigma": args.sigma,
-            "d": args.d, "df": args.df, "basis": args.basis, "n": args.n,
-            "gammas": _parse_gammas(args.gammas), "reps": args.reps,
-            "seed": args.seed,
-        }
-    if args.command == "bench":
-        return {
-            "sweep": args.sweep,
-            "values": [float(v) for v in args.values.split(",") if v],
-            "methods": [m for m in args.methods.split(",") if m],
-            "n": args.n, "reps": args.reps, "seed": args.seed,
-        }
-    if args.command == "sample":
-        return {
-            "signal": args.signal, "mu": args.mu, "sigma": args.sigma,
-            "d": args.d, "df": args.df, "n": args.n, "seed": args.seed,
-        }
-    raise CliError(f"unknown command {args.command!r}")
+    params = {a.dest: getattr(args, a.dest) for a in _flag_actions(args.command)}
+    if "input" in params:
+        params["input"] = os.path.abspath(params["input"])
+    return params
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error argparse printed
+        return exc.code
     try:
         outdir = _outdir(args.outdir)
         if args.command == "rerun":
-            run_from_manifest(args.manifest, outdir)
+            command, params = _read_manifest(args.manifest)
         else:
-            _HANDLERS[args.command](_params_from_args(args), outdir)
+            command, params = args.command, _params_from_args(args)
+        outputs = _HANDLERS[command](params, outdir)
+        _write_json(outdir / "manifest.json", {
+            "format": MANIFEST_FORMAT, "command": command, "params": params,
+            "outputs": sorted(outputs)})
     except (CliError, ValueError) as exc:
         print(f"wavedens: error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ replication sees the identical sample.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -35,9 +34,6 @@ __all__ = [
     "support_sweep",
     "tail_sweep",
     "replication_seed",
-    "write_replications_csv",
-    "write_quartiles_csv",
-    "write_summary_json",
 ]
 
 MAX_GRID_POINTS = 10 ** 7
@@ -266,38 +262,3 @@ def tail_sweep(df_values: Sequence[float], n: int,
     return _parameter_sweep(df_values, mixture_hk, n, methods, replications,
                             master_seed)
 
-
-# ---------------------------------------------------------------------------
-# emission
-
-def write_replications_csv(report: RiskReport, path) -> None:
-    """One row per replication."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("replication,ise\n")
-        for i, v in enumerate(report.ise_values):
-            fh.write(f"{i},{v!r}\n")
-
-
-def write_quartiles_csv(reports: Sequence[RiskReport], path) -> None:
-    """Companion plot data: one row per (method, parameter)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("method,parameter,mean,q25,median,q75\n")
-        for r in reports:
-            param = "" if r.parameter is None else repr(r.parameter)
-            fh.write(f"{r.method_id},{param},{r.mean!r},{r.q25!r},"
-                     f"{r.median!r},{r.q75!r}\n")
-
-
-def write_summary_json(reports: Sequence[RiskReport], path) -> None:
-    doc = [
-        {
-            "signal": r.signal_id, "method": r.method_id,
-            "parameter": r.parameter, "n": r.n,
-            "replications": r.replications, "master_seed": r.master_seed,
-            "mean": r.mean, "median": r.median, "q25": r.q25, "q75": r.q75,
-        }
-        for r in reports
-    ]
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -139,29 +139,6 @@ class _StudentT:
         return -float(q), float(q)
 
 
-class Gauss(TestSignal):
-    """Single Gaussian density."""
-
-    def __init__(self, mu: float, sigma: float):
-        self._component = _Normal(mu, sigma)
-        self.mu = self._component.mu
-        self.sigma = self._component.sigma
-        self.name = f"gauss({mu:g},{sigma:g})"
-        self.effective_support = self._component.bracket()
-
-    def pdf(self, x):
-        return self._component.pdf(x)
-
-    def cdf(self, x):
-        return self._component.cdf(x)
-
-    def sf(self, x):
-        return self._component.sf(x)
-
-    def _draw(self, rng, n):
-        return self._component.draw(rng, n)
-
-
 class Mixture(TestSignal):
     """Finite mixture; sampling draws component counts first, then each
     component's values from the same seeded generator."""
@@ -192,6 +169,11 @@ class Mixture(TestSignal):
         counts = rng.multinomial(n, self.weights)
         parts = [c.draw(rng, m) for c, m in zip(self.components, counts) if m]
         return np.concatenate(parts)
+
+
+def Gauss(mu: float, sigma: float) -> Mixture:
+    """Single Gaussian density: a one-component mixture."""
+    return Mixture(f"gauss({mu:g},{sigma:g})", [1.0], [_Normal(mu, sigma)])
 
 
 def mixture_gd(d: float) -> Mixture:
@@ -258,9 +240,6 @@ class Bumps(TestSignal):
         x = np.asarray(x, dtype=float)
         out = self._unnormalized_mass(x) / self.normalizer
         return np.clip(out, 0.0, 1.0)
-
-    def sf(self, x):
-        return 1.0 - self.cdf(x)
 
     def _draw(self, rng, n):
         out = np.empty(n)

@@ -9,7 +9,6 @@ from wavedens.basis import (
     StepFunction,
     TabulatedFunction,
     _cascade_samples,
-    build_spline_basis,
     eval_decomposition,
     eval_reconstruction,
     reconstruction_support,
@@ -104,10 +103,6 @@ class TestHaar:
 
 
 class TestSplineConstruction:
-    def test_grid_exponent_validation(self):
-        with pytest.raises(ValueError):
-            build_spline_basis(9)
-
     def test_cascade_diverges_on_bad_filter(self):
         # a filter violating the sum rule cannot have a fixed point
         bad = np.array([0.9, 0.9])

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 
 import numpy as np
@@ -7,7 +8,15 @@ import pytest
 
 from wavedens import cli
 from wavedens.cli import main
-from wavedens.signals import Bumps, Gauss
+from wavedens.estimator import practical_gamma
+from wavedens.risk import (
+    MethodSpec,
+    RiskReport,
+    mise_sweep,
+    resolve_methods,
+    support_sweep,
+)
+from wavedens.signals import Bumps, Gauss, Uniform01
 
 
 @pytest.fixture
@@ -196,6 +205,14 @@ class TestReadCsv:
                      "-o", str(tmp_path / "o")]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfe1.0\n2.0\n")
+        assert main(["estimate", "--input", str(path),
+                     "-o", str(tmp_path / "o")]) == 2
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "estimate.json").exists()
+
 
 class TestWriteCsv:
     def test_grid_bytes_match_per_line_repr(self, tmp_path):
@@ -211,6 +228,123 @@ class TestWriteCsv:
         assert path.read_bytes() == want.encode("ascii")
         cli._write_csv(path, "x,density\n", xs[:0], ys[:0])
         assert path.read_bytes() == b"x,density\n"
+
+
+def _replications_text(report):
+    return "replication,ise\n" + "".join(
+        f"{i},{v!r}\n" for i, v in enumerate(report.ise_values))
+
+
+def _summary_text(reports):
+    return json.dumps([
+        {"signal": r.signal_id, "method": r.method_id,
+         "parameter": r.parameter, "n": r.n, "replications": r.replications,
+         "master_seed": r.master_seed, "mean": r.mean, "median": r.median,
+         "q25": r.q25, "q75": r.q75}
+        for r in reports
+    ], indent=2, sort_keys=True) + "\n"
+
+
+class TestReportFiles:
+    """The bytes of every sweep output, rebuilt from the library's reports
+    in the formats the files have always had, and each manifest's list of
+    outputs."""
+
+    def test_bench_bytes(self, tmp_path):
+        assert main(["bench", "--sweep", "support", "--values", "10,30",
+                     "--methods", "S*,K", "--n", "64", "--reps", "2",
+                     "--seed", "6", "-o", str(tmp_path)]) == 0
+        reports = support_sweep([10.0, 30.0], 64, resolve_methods(["S*", "K"]),
+                                2, 6)
+        want = {"quartiles.csv": "method,parameter,mean,q25,median,q75\n" + "".join(
+                    f"{r.method_id},{r.parameter!r},{r.mean!r},{r.q25!r},"
+                    f"{r.median!r},{r.q75!r}\n" for r in reports),
+                "summary.json": _summary_text(reports)}
+        for r in reports:
+            code = r.method_id.replace("*", "star")
+            want[f"replications_{code}_{r.parameter:g}.csv"] = \
+                _replications_text(r)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == [
+            "quartiles.csv", "replications_K_10.csv", "replications_K_30.csv",
+            "replications_Sstar_10.csv", "replications_Sstar_30.csv",
+            "summary.json"]
+        assert _read_tree(tmp_path) == {
+            "manifest.json": (tmp_path / "manifest.json").read_bytes(),
+            **{name: text.encode("ascii") for name, text in want.items()}}
+
+    def test_calibrate_bytes(self, tmp_path):
+        assert main(["calibrate", "--signal", "uniform", "--basis", "haar",
+                     "--n", "64", "--gammas", "0.5:1.5:0.5", "--reps", "2",
+                     "--seed", "9", "-o", str(tmp_path)]) == 0
+        gammas = [0.5, 1.0, 1.5]
+        reports = mise_sweep(Uniform01(), 64, [
+            MethodSpec(f"PG{g:g}", "wavelet", "haar", practical_gamma(g), g)
+            for g in gammas], 2, 9)
+        want = {"calibration.csv": "gamma,n_mise\n" + "".join(
+                    f"{g!r},{64 * r.mean!r}\n" for g, r in zip(gammas, reports)),
+                "summary.json": _summary_text(reports)}
+        for g, r in zip(gammas, reports):
+            want[f"replications_gamma_{g:g}.csv"] = _replications_text(r)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == [
+            "calibration.csv", "replications_gamma_0.5.csv",
+            "replications_gamma_1.5.csv", "replications_gamma_1.csv",
+            "summary.json"]
+        assert _read_tree(tmp_path) == {
+            "manifest.json": (tmp_path / "manifest.json").read_bytes(),
+            **{name: text.encode("ascii") for name, text in want.items()}}
+
+    def test_writers_deterministic(self, tmp_path, rng):
+        r = RiskReport.from_values("sig", "S*", 2.0, 99, 7, rng.random(10))
+        trees = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            out.mkdir()
+            assert cli._write_reports(out, [r], ["reps.csv"]) == [
+                "reps.csv", "summary.json"]
+            trees.append(_read_tree(out))
+        assert trees[0] == trees[1]
+        assert trees[0]["reps.csv"] == _replications_text(r).encode("ascii")
+        assert trees[0]["summary.json"] == _summary_text([r]).encode("ascii")
+
+
+_RUNS = {
+    "estimate": ["--basis", "haar"],
+    "calibrate": ["--signal", "uniform", "--n", "64", "--gammas", "1",
+                  "--reps", "1"],
+    "bench": ["--sweep", "support", "--values", "10", "--methods", "H",
+              "--n", "64", "--reps", "1"],
+    "sample": ["--signal", "gauss", "--n", "5"],
+}
+
+
+class TestParams:
+    @pytest.mark.parametrize("command", sorted(_RUNS))
+    def test_manifest_keys_are_flag_dests(self, command, data_csv, tmp_path):
+        flags = ["--input", str(data_csv)] if command == "estimate" else []
+        assert main([command, *flags, *_RUNS[command],
+                     "-o", str(tmp_path)]) == 0
+        params = json.loads((tmp_path / "manifest.json").read_text())["params"]
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions}
+        assert set(params) == dests - {"help", "outdir"}
+
+    @pytest.mark.parametrize("command, flag, text, message", [
+        ("bench", "--values", "10,x", "could not convert string to float"),
+        ("bench", "--methods", "H,Z", "valid methods"),
+        ("calibrate", "--gammas", "0.5,y", "could not convert string to float"),
+        ("calibrate", "--gammas", "0.5:1", "start:stop:step"),
+        ("calibrate", "--gammas", "1:0.5:0.5", "bad gamma range"),
+    ])
+    def test_bad_list_flag_is_a_usage_error(self, command, flag, text,
+                                            message, tmp_path, capsys):
+        # the flag's last occurrence overrides its valid value in _RUNS
+        assert main([command, *_RUNS[command], flag, text,
+                     "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and message in err
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestCalibrateCommand:

@@ -27,9 +27,6 @@ from wavedens.risk import (
     resolve_methods,
     support_sweep,
     tail_sweep,
-    write_quartiles_csv,
-    write_replications_csv,
-    write_summary_json,
 )
 from wavedens.signals import Bumps, Gauss, Uniform01, mixture_hk
 
@@ -240,18 +237,3 @@ class TestReports:
         assert_allclose(r.q25, np.quantile(values, 0.25))
         assert_allclose(r.q75, np.quantile(values, 0.75))
         assert r.replications == len(values)
-
-    def test_writers_deterministic(self, tmp_path, rng):
-        values = rng.random(10)
-        r = RiskReport.from_values("sig", "S*", 2.0, 99, 7, values)
-        for writer, name in [(write_replications_csv, "reps.csv")]:
-            writer(r, tmp_path / name)
-            first = (tmp_path / name).read_bytes()
-            writer(r, tmp_path / name)
-            assert (tmp_path / name).read_bytes() == first
-        write_quartiles_csv([r], tmp_path / "q.csv")
-        text = (tmp_path / "q.csv").read_text()
-        assert text.startswith("method,parameter,mean,q25,median,q75\n")
-        assert "S*" in text
-        write_summary_json([r], tmp_path / "s.json")
-        assert "master_seed" in (tmp_path / "s.json").read_text()
