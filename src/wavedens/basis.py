@@ -41,8 +41,6 @@ __all__ = [
 # the tabulated synthesis scaling function.
 _DUAL_LOWPASS = np.array([-1 / 16, 1 / 16, 1 / 2, 1 / 2, 1 / 16, -1 / 16])
 _DUAL_OFFSET = -2
-_PRIMAL_LOWPASS = np.array([1 / 2, 1 / 2])
-_PRIMAL_OFFSET = 0
 # the spline pair's synthesis functions are tabulated at step 2**-12
 _GRID_EXPONENT = 12
 

@@ -60,9 +60,18 @@ def _outdir(path_arg) -> Path:
     return out
 
 
+def _create(path: Path):
+    """Open ``path`` for writing as a new file.  Whatever entry holds the
+    name (a file, a hard link, a symlink) is unlinked first and never
+    written through: truncating a file still being written back makes
+    ext4 flush it (``auto_da_alloc``), which an unlinked one escapes."""
+    path.unlink(missing_ok=True)
+    return open(path, "x", encoding="ascii")
+
+
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="ascii")
+    with _create(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: str, *columns):
@@ -70,7 +79,7 @@ def _write_csv(path: Path, header: str, *columns):
     each cell as its ``str`` (for a float, its round-trip ``repr``).  Rows
     go out in blocks, each one joined string, so the text of a large file
     is never held at once."""
-    with open(path, "w", encoding="ascii") as fh:
+    with _create(path) as fh:
         fh.write(header)
         for start in range(0, len(columns[0]), _CSV_BLOCK):
             blocks = (c[start:start + _CSV_BLOCK] for c in columns)
@@ -132,6 +141,17 @@ def _safe(code: str) -> str:
     return code.replace("*", "star")
 
 
+def _distinct(names: list, labels: list) -> list:
+    """``names``, unless two of them are equal: then raise
+    :class:`CliError` naming the two inputs (``labels``) that gave it."""
+    first = {}
+    for name, label in zip(names, labels):
+        if name in first:
+            raise CliError(f"{first[name]} and {label} would both write {name}")
+        first[name] = label
+    return names
+
+
 # ---------------------------------------------------------------------------
 # command handlers (params dicts are fully resolved; rerun reuses them);
 # each returns the names of the files it wrote
@@ -181,6 +201,9 @@ def _write_reports(outdir: Path, reports, names) -> list:
 
 def run_calibrate(params: dict, outdir: Path) -> list:
     signal = _signal_from_params(params)
+    names = _distinct(
+        [f"replications_gamma_{g:g}.csv" for g in params["gammas"]],
+        [f"gamma {g!r}" for g in params["gammas"]])
     methods = [
         MethodSpec(code=f"PG{g:g}", kind="wavelet", basis_name=params["basis"],
                    mode=practical_gamma(g), parameter=g)
@@ -190,7 +213,6 @@ def run_calibrate(params: dict, outdir: Path) -> list:
                          params["seed"])
     _write_csv(outdir / "calibration.csv", "gamma,n_mise\n", params["gammas"],
                [params["n"] * r.mean for r in reports])
-    names = [f"replications_gamma_{g:g}.csv" for g in params["gammas"]]
     return ["calibration.csv", *_write_reports(outdir, reports, names)]
 
 
@@ -199,14 +221,17 @@ def run_bench(params: dict, outdir: Path) -> list:
         methods = resolve_methods(params["methods"])
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    # the sweeps report value-major, one report per (value, method)
+    cells = [(m.code, float(v)) for v in params["values"] for m in methods]
+    names = _distinct([f"replications_{_safe(code)}_{v:g}.csv"
+                       for code, v in cells],
+                      [f"{code} at value {v!r}" for code, v in cells])
     sweep = support_sweep if params["sweep"] == "support" else tail_sweep
     reports = sweep(params["values"], params["n"], methods, params["reps"],
                     params["seed"])
     fields = ("method_id", "parameter", "mean", "q25", "median", "q75")
     _write_csv(outdir / "quartiles.csv", "method,parameter,mean,q25,median,q75\n",
                *([getattr(r, f) for r in reports] for f in fields))
-    names = [f"replications_{_safe(r.method_id)}_{r.parameter:g}.csv"
-             for r in reports]
     return ["quartiles.csv", *_write_reports(outdir, reports, names)]
 
 
@@ -428,7 +453,7 @@ def main(argv=None) -> int:
         _write_json(outdir / "manifest.json", {
             "format": MANIFEST_FORMAT, "command": command, "params": params,
             "outputs": sorted(outputs)})
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"wavedens: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -55,6 +55,47 @@ class TestEstimateCommand:
         assert main(args + ["-o", str(out2)]) == 0
         assert _read_tree(out1) == _read_tree(out2)
 
+    def test_rerun_replaces_outputs(self, data_csv, tmp_path):
+        # each output is a new file: a hard link to the last run's file
+        # keeps its bytes, and a symlink at an output's name is replaced,
+        # its target untouched
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        args = ["estimate", "--input", str(data_csv), "--basis", "haar"]
+        assert main(args + ["--grid-step", "0.01", "-o", str(out)]) == 0
+        first_grid = (out / "estimate_grid.csv").read_bytes()
+        (tmp_path / "kept.csv").hardlink_to(out / "estimate_grid.csv")
+        target = tmp_path / "target.json"
+        target.write_bytes(b"not an estimate\n")
+        (out / "estimate.json").unlink()
+        (out / "estimate.json").symlink_to(target)
+        assert main(args + ["--grid-step", "0.02", "-o", str(out)]) == 0
+        assert main(args + ["--grid-step", "0.02", "-o", str(fresh)]) == 0
+        assert (tmp_path / "kept.csv").read_bytes() == first_grid
+        assert not (out / "estimate.json").is_symlink()
+        assert target.read_bytes() == b"not an estimate\n"
+        assert _read_tree(out) == _read_tree(fresh)
+        assert (out / "estimate_grid.csv").read_bytes() != first_grid
+
+    def test_outdir_is_a_file_errors(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["estimate", "--input", str(data_csv),
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wavedens: error: ") and str(out) in err
+
+    def test_directory_at_output_name_errors(self, data_csv, tmp_path,
+                                             capsys):
+        out = tmp_path / "out"
+        (out / "estimate.json").mkdir(parents=True)
+        assert main(["estimate", "--input", str(data_csv),
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wavedens: error: ")
+        assert str(out / "estimate.json") in err
+        assert (out / "estimate.json").is_dir()
+        assert not (out / "manifest.json").exists()
+
     def test_rescale_divides_data(self, tmp_path):
         raw = tmp_path / "raw.csv"
         obs = 250.0 * Gauss(0.5, 0.2).sample(5, 120).observations
@@ -370,6 +411,25 @@ class TestCalibrateCommand:
         assert manifest["params"]["gammas"] == [0.5, 1.0, 1.5]
 
 
+    def test_colliding_file_names_exit_2(self, tmp_path, capsys,
+                                         monkeypatch):
+        # both gammas print as 0.123456 under the file names' ``:g``
+        monkeypatch.setattr(cli, "mise_sweep", _no_sweep)
+        out = tmp_path / "cal"
+        rc = main(["calibrate", "--signal", "uniform", "--n", "64",
+                   "--gammas", "0.1234561,0.1234562", "--reps", "1",
+                   "-o", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "0.1234561" in err and "0.1234562" in err
+        assert "replications_gamma_0.123456.csv" in err
+        assert list(out.iterdir()) == []
+
+
+def _no_sweep(*args):
+    raise AssertionError("the sweep ran")
+
+
 class TestBenchCommand:
     def test_support_sweep_single_cell(self, tmp_path):
         out = tmp_path / "bench"
@@ -396,6 +456,19 @@ class TestBenchCommand:
                    "-o", str(tmp_path / "o")])
         assert rc == 2
         assert "valid methods" in capsys.readouterr().err
+
+    def test_colliding_file_names_exit_2(self, tmp_path, capsys,
+                                         monkeypatch):
+        monkeypatch.setattr(cli, "support_sweep", _no_sweep)
+        out = tmp_path / "bench"
+        rc = main(["bench", "--sweep", "support",
+                   "--values", "10.0000001,10.0000002", "--methods", "S",
+                   "--n", "64", "--reps", "1", "-o", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "10.0000001" in err and "10.0000002" in err
+        assert "replications_S_10.csv" in err
+        assert list(out.iterdir()) == []
 
     def test_tail_sweep_runs(self, tmp_path):
         out = tmp_path / "tail"
