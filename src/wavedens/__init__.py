@@ -20,7 +20,6 @@ from .basis import (
     haar_basis,
     spline_basis,
     sup_norm,
-    support_interval,
 )
 from .estimator import (
     CoefficientTable,

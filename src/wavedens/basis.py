@@ -32,7 +32,6 @@ __all__ = [
     "eval_reconstruction",
     "level_function",
     "sup_norm",
-    "support_interval",
 ]
 
 # Dual low-pass filter of the spline pair, taps at integer shifts -2..3.
@@ -143,10 +142,6 @@ class TabulatedFunction:
     @property
     def support(self) -> tuple[float, float]:
         return float(self.lo), float(self.hi)
-
-    @property
-    def grid_step(self) -> float:
-        return 2.0 ** -self.grid_exponent
 
     def eval(self, x):
         scalar = np.isscalar(x)
@@ -308,9 +303,8 @@ def level_function(basis: BiorthogonalBasis, j: int, *,
 def _eval_dilated(basis, idx, x, synthesis):
     j, k = idx
     fn, amp, scale = level_function(basis, j, synthesis=synthesis)
-    scalar = np.isscalar(x)
-    out = amp * fn.eval(scale * np.asarray(x, dtype=float) - k)
-    return float(out) if scalar else out
+    # a scalar x gives a numpy scalar argument, which fn.eval maps to a float
+    return amp * fn.eval(scale * np.asarray(x, dtype=float) - k)
 
 
 def eval_decomposition(basis: BiorthogonalBasis, idx, x):
@@ -332,18 +326,9 @@ def sup_norm(basis: BiorthogonalBasis, idx) -> float:
     return amp * fn.sup_norm
 
 
-def _support(basis, idx, synthesis):
-    j, k = idx
-    fn, _, scale = level_function(basis, j, synthesis=synthesis)
-    a, b = fn.support
-    return (a + k) / scale, (b + k) / scale
-
-
-def support_interval(basis: BiorthogonalBasis, idx) -> tuple[float, float]:
-    """Closed support of the analysis function at this index."""
-    return _support(basis, idx, synthesis=False)
-
-
 def reconstruction_support(basis: BiorthogonalBasis, idx) -> tuple[float, float]:
     """Closed support of the synthesis function at this index."""
-    return _support(basis, idx, synthesis=True)
+    j, k = idx
+    fn, _, scale = level_function(basis, j, synthesis=True)
+    a, b = fn.support
+    return (a + k) / scale, (b + k) / scale

@@ -70,8 +70,10 @@ def _create(path: Path):
 
 
 def _write_json(path: Path, doc) -> None:
+    # NaN and Infinity are not JSON: refuse them before the file is created
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with _create(path) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: Path, header: str, *columns):
@@ -159,8 +161,9 @@ def _distinct(names: list, labels: list) -> list:
 def run_estimate(params: dict, outdir: Path) -> list:
     values = _read_one_column_csv(params["input"])
     if params["rescale"] is not None:
-        if params["rescale"] <= 0:
-            raise CliError("rescale factor must be positive")
+        if not 0 < params["rescale"] < float("inf"):
+            raise CliError(f"rescale factor must be positive and finite, "
+                           f"got {params['rescale']!r}")
         values = values / params["rescale"]
     basis = basis_by_name(params["basis"])
     config = EstimatorConfig(basis=basis, mode=_mode_from_params(params),

@@ -33,7 +33,6 @@ import numpy as np
 from .basis import (
     BiorthogonalBasis,
     CoefficientIndex,
-    basis_by_name,
     level_function,
     reconstruction_support,
     sup_norm,
@@ -56,7 +55,6 @@ __all__ = [
     "estimate",
     "true_level_values",
     "oracle_estimate",
-    "estimate_from_json_dict",
 ]
 
 
@@ -108,6 +106,10 @@ class Mode:
     def __post_init__(self):
         if self.kind not in _MODE_KINDS:
             raise ValueError(f"unknown mode kind {self.kind!r}")
+        for name, value in (("gamma", self.gamma), ("c", self.c),
+                            ("c'", self.c_prime)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if self.kind == "practical" and self.gamma != 1.0:
@@ -174,18 +176,22 @@ class KeptCoefficient(NamedTuple):
     threshold: float
 
 
+def _unbiased_variance(s1, s2, n):
+    """Unbiased variance of ``n`` summands from their sum ``s1`` and sum of
+    squares ``s2``: ``max(0, (s2 - s1^2/n) / (n - 1))``, elementwise.  The
+    level scan and :func:`variance_hat` both use it."""
+    return np.maximum(0.0, (s2 - s1 * s1 / n) / (n - 1))
+
+
 def variance_hat(values) -> float:
     """Unbiased variance of the summands via the O(n) identity
-    ``n (m2 - m1^2) / (n - 1)``; equals the pairwise U-statistic
-    ``sum_{i<l} (v_i - v_l)^2 / (n (n-1))``.
+    ``(s2 - s1^2/n) / (n - 1)`` the level scan uses; equals the pairwise
+    U-statistic ``sum_{i<l} (v_i - v_l)^2 / (n (n-1))``.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 2:
         raise ValueError("need at least two values")
-    n = len(v)
-    m1 = float(np.mean(v))
-    m2 = float(np.mean(v * v))
-    return max(0.0, n * (m2 - m1 * m1) / (n - 1))
+    return float(_unbiased_variance(np.sum(v), np.sum(v * v), len(v)))
 
 
 def variance_tilde(sigma_hat_sq, psi_sup, n, gamma):
@@ -241,11 +247,10 @@ def _runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
     """Exact per-cell sums at one level.
 
-    Returns ``(ks, s1, s2, njk)`` for every integer translate whose analysis
-    support contains at least one observation: ``s1 = sum psi_jk(X_i)``,
-    ``s2 = sum psi_jk(X_i)^2`` and ``njk`` the count of observations in the
-    closed support.  Cells never touched by data are not materialized (their
-    empirical coefficient is exactly zero).
+    Returns ``(ks, s1, s2)`` for every integer translate whose analysis
+    support contains at least one observation: ``s1 = sum psi_jk(X_i)`` and
+    ``s2 = sum psi_jk(X_i)^2``.  Cells never touched by data are not
+    materialized (their empirical coefficient is exactly zero).
 
     ``x`` must be sorted.  Observation i meets translate ``floor(2^j x_i)
     + c`` for a few offsets c, and the sorted bases come in runs of equal
@@ -264,8 +269,7 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
     frac = t - base
     run, starts = _runs(base)  # x is sorted, so base is too
     run_base = base[starts]
-    # (run of each observation, runs met, observations per run met)
-    every_run = (run, np.arange(len(starts)), np.diff(starts, append=len(x)))
+    all_runs = np.arange(len(starts))
 
     slots, keys = [], []
     # Integer offsets c with u = frac - c possibly inside [a, b]; frac in
@@ -274,17 +278,15 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
         u = frac - c
         inside = (u >= a) & (u <= b)
         if inside.all():
-            uu, (obs_run, runs, counts) = u, every_run
+            uu, obs_run, runs = u, run, all_runs
         elif inside.any():
             uu, obs_run = u[inside], run[inside]  # obs_run ascends
-            _, firsts = _runs(obs_run)
-            runs = obs_run[firsts]
-            counts = np.diff(firsts, append=len(obs_run))
+            runs = obs_run[_runs(obs_run)[1]]
         else:
             continue
         piece = np.searchsorted(bp, uu, side="right") - 1
         piece = np.clip(piece, 0, len(vals) - 1)
-        slots.append((obs_run, runs, counts, amp * vals[piece]))
+        slots.append((obs_run, runs, amp * vals[piece]))
         keys.append(run_base[runs] + c)
     # b - a >= 1: every observation lands in some translate.  Each offset's
     # cells ascend; the stable sort merges those runs into distinct cells.
@@ -298,23 +300,20 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
     # add.at adds in index order, offset after offset: each cell sums its
     # terms in the same order whatever the merge did
     s1, s2 = np.zeros(len(k_out)), np.zeros(len(k_out))
-    njk = np.zeros(len(k_out), dtype=np.int64)
     cell_of_run = np.empty(len(run_base), dtype=np.int64)
     at = 0
-    for obs_run, runs, counts, v in slots:
-        slot_cell = cell[at:at + len(runs)]
+    for obs_run, runs, v in slots:
+        cell_of_run[runs] = cell[at:at + len(runs)]
         at += len(runs)
-        np.add.at(njk, slot_cell, counts)
-        cell_of_run[runs] = slot_cell
         obs_cell = cell_of_run[obs_run]
         np.add.at(s1, obs_cell, v)
         np.add.at(s2, obs_cell, v * v)
-    return k_out, s1, s2, njk
+    return k_out, s1, s2
 
 
 def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
     """The level scan behind :func:`coefficient_table`: its rule-free
-    columns (j, k, beta_hat, sigma_hat_sq, n_jk, sup), read-only because
+    columns (j, k, beta_hat, sigma_hat_sq, sup), read-only because
     every rule fitted to the sample reuses them."""
     x = sample.observations
     n = sample.n
@@ -325,19 +324,17 @@ def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
                          f"or lower j0")
     parts = []
     for level in range(-1, j0 + 1):
-        ks, s1, s2, njk = _level_stats(x, basis, level)
+        ks, s1, s2 = _level_stats(x, basis, level)
         nonzero = s1 != 0.0
         s1 = s1[nonzero]
         parts.append((np.full(len(s1), level, dtype=np.int64), ks[nonzero],
-                      s1 / n,
-                      np.maximum(0.0, (s2[nonzero] - s1 * s1 / n) / (n - 1)),
-                      njk[nonzero],
+                      s1 / n, _unbiased_variance(s1, s2[nonzero], n),
                       np.full(len(s1), sup_norm(basis, (level, 0)))))
     # join one column at a time and drop its level pieces right away, so
     # the peak holds one copy of the table rather than two
     columns = [list(col) for col in zip(*parts)]
     del parts
-    out = tuple(np.concatenate(columns.pop(0)) for _ in range(6))
+    out = tuple(np.concatenate(columns.pop(0)) for _ in range(5))
     for col in out:
         col.setflags(write=False)
     return out
@@ -348,16 +345,15 @@ class CoefficientTable:
     """Every nonzero empirical cell of levels -1..j0, sorted by (j, k).
 
     Equal-length columns: level ``j``, translate ``k``, coefficient
-    ``beta_hat``, unbiased summand variance ``sigma_hat_sq``, observation
-    count ``n_jk`` in the closed analysis support, analysis sup norm
-    ``sup``, threshold ``eta`` and the keep mask ``kept`` (|beta_hat| >= eta).
+    ``beta_hat``, unbiased summand variance ``sigma_hat_sq``, analysis sup
+    norm ``sup``, threshold ``eta`` and the keep mask ``kept``
+    (|beta_hat| >= eta).
     """
 
     j: np.ndarray
     k: np.ndarray
     beta_hat: np.ndarray
     sigma_hat_sq: np.ndarray
-    n_jk: np.ndarray
     sup: np.ndarray
     eta: np.ndarray
     kept: np.ndarray
@@ -381,11 +377,10 @@ def coefficient_table(sample: Sample, config: EstimatorConfig) -> CoefficientTab
     key = (id(config.basis), j0)
     if key not in sample._scans:
         sample._scans[key] = (config.basis, _scan(sample, config.basis, j0))
-    j, ks, beta, sig, njk, sup = sample._scans[key][1]
+    j, ks, beta, sig, sup = sample._scans[key][1]
     eta = _threshold_value(sig, sup, sample.n, config.mode)
     return CoefficientTable(j=j, k=ks, beta_hat=beta, sigma_hat_sq=sig,
-                            n_jk=njk, sup=sup, eta=eta,
-                            kept=np.abs(beta) >= eta, j0=j0)
+                            sup=sup, eta=eta, kept=np.abs(beta) >= eta, j0=j0)
 
 
 def eval_ascending(fn, grid) -> np.ndarray:
@@ -463,17 +458,6 @@ class DensityEstimate:
             "kept": [[row.j, row.k, row.value, row.threshold]
                      for row in self.kept],
         }
-
-
-def estimate_from_json_dict(doc: dict) -> DensityEstimate:
-    if doc.get("format") != "wavedens-estimate-v1":
-        raise ValueError(f"unrecognized estimate format {doc.get('format')!r}")
-    mode = Mode(doc["mode"]["kind"], gamma=doc["mode"]["gamma"],
-                c=doc["mode"]["c"], c_prime=doc["mode"]["c_prime"])
-    kept = tuple(KeptCoefficient(*row) for row in doc["kept"])
-    return DensityEstimate(kept=kept, basis=basis_by_name(doc["basis"]),
-                           positive_part=bool(doc["positive_part"]),
-                           n=int(doc["n"]), mode=mode, j0=int(doc["j0"]))
 
 
 def _kept_rows(table: CoefficientTable, mask, thresholds) -> tuple:

@@ -11,6 +11,7 @@ replication sees the identical sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -47,22 +48,32 @@ class GridCoverageError(ValueError):
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on [lo, hi]; hi is rounded up to a whole number of
-    steps at construction."""
+    steps at construction.  Non-finite bounds or step, and a grid whose
+    point count or end overflows, raise ``ValueError``."""
 
     lo: float
     hi: float
     step: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lo, self.hi, self.step))):
+            raise ValueError(f"grid lo, hi and step must be finite, got "
+                             f"{self.lo!r}, {self.hi!r}, {self.step!r}")
         if not self.lo < self.hi:
             raise ValueError("need lo < hi")
         if not self.step > 0:
             raise ValueError("step must be positive")
-        m = int(np.ceil((self.hi - self.lo) / self.step - 1e-12))
-        if m > MAX_GRID_POINTS:
-            raise ValueError(
-                f"grid would have {m + 1} points, over the {MAX_GRID_POINTS} cap")
-        object.__setattr__(self, "hi", self.lo + m * self.step)
+        # inf when hi - lo or the quotient overflows
+        steps = (self.hi - self.lo) / self.step - 1e-12
+        if not steps <= MAX_GRID_POINTS:
+            raise ValueError(f"grid [{self.lo!r}, {self.hi!r}] at step "
+                             f"{self.step!r} would have {steps + 1:.4g} "
+                             f"points, over the {MAX_GRID_POINTS} cap")
+        hi = self.lo + int(np.ceil(steps)) * self.step
+        if not math.isfinite(hi):
+            raise ValueError(f"grid end {self.hi!r} rounded up to whole "
+                             f"steps of {self.step!r} overflows")
+        object.__setattr__(self, "hi", hi)
 
     @property
     def npoints(self) -> int:

@@ -13,7 +13,6 @@ from wavedens.basis import (
     eval_reconstruction,
     reconstruction_support,
     sup_norm,
-    support_interval,
 )
 
 
@@ -64,13 +63,17 @@ class TestHaar:
         assert eval_decomposition(haar, (2, 1), 0.3) == 2.0
 
     def test_self_duality_on_random_probes(self, haar, rng):
-        # reconstruction must agree with decomposition exactly
+        # reconstruction must agree with decomposition exactly, and a
+        # scalar probe of any kind gives a Python float on both sides
         for _ in range(1000):
             j = int(rng.integers(-1, 8))
             k = int(rng.integers(-10, 10))
             x = float(rng.uniform(-3, 3))
-            assert (eval_reconstruction(haar, (j, k), x)
-                    == eval_decomposition(haar, (j, k), x))
+            want = eval_decomposition(haar, (j, k), x)
+            for probe in (x, np.float64(x), np.array(x)):
+                for fn in (eval_decomposition, eval_reconstruction):
+                    got = fn(haar, (j, k), probe)
+                    assert type(got) is float and got == want
 
     def test_sup_norm(self, haar):
         assert sup_norm(haar, (0, 5)) == 1.0
@@ -78,9 +81,10 @@ class TestHaar:
         assert sup_norm(haar, (-1, 2)) == 1.0
 
     def test_support_interval(self, haar):
-        assert support_interval(haar, (0, 0)) == (0.0, 1.0)
-        assert support_interval(haar, (3, 5)) == (5 / 8, 6 / 8)
-        assert support_interval(haar, (-1, 2)) == (2.0, 3.0)
+        # Haar is self-dual: the synthesis supports are the analysis ones
+        assert reconstruction_support(haar, (0, 0)) == (0.0, 1.0)
+        assert reconstruction_support(haar, (3, 5)) == (5 / 8, 6 / 8)
+        assert reconstruction_support(haar, (-1, 2)) == (2.0, 3.0)
 
     def test_vanishing_moment_exact(self, haar):
         assert haar.psi.moment(0) == 0.0
@@ -111,7 +115,7 @@ class TestSplineConstruction:
 
     def test_scaling_function_unit_mass(self, spline):
         total = np.trapezoid(spline.phi_tilde.samples,
-                             dx=spline.phi_tilde.grid_step)
+                             dx=2.0 ** -spline.phi_tilde.grid_exponent)
         assert abs(total - 1.0) < 1e-6
 
     def test_analysis_wavelet_mean_zero_exact(self, spline):
@@ -130,8 +134,10 @@ class TestSplineConstruction:
     def test_tabulated_node_is_exact_sample(self, spline):
         tab = spline.psi_tilde
         i = 1234
-        node = tab.lo + i * tab.grid_step
-        assert eval_reconstruction(spline, (0, 0), node) == tab.samples[i]
+        node = tab.lo + i * 2.0 ** -tab.grid_exponent
+        for probe in (node, np.float64(node), np.array(node)):
+            got = eval_reconstruction(spline, (0, 0), probe)
+            assert type(got) is float and got == tab.samples[i]
 
     def test_outside_support_is_zero(self, spline):
         lo, hi = reconstruction_support(spline, (0, 0))
@@ -142,8 +148,9 @@ class TestSplineConstruction:
         assert sup_norm(spline, (0, 0)) == np.max(np.abs(spline.psi.values))
 
     def test_support_shift(self, spline):
-        a, b = spline.psi.support
-        assert support_interval(spline, (1, -2)) == ((a - 2) / 2, (b - 2) / 2)
+        a, b = spline.psi_tilde.support
+        assert (reconstruction_support(spline, (1, -2))
+                == ((a - 2) / 2, (b - 2) / 2))
 
     def test_biorthogonality_window(self, spline):
         # full (j, k) x (j', k') pairing window at the quadrature tolerance

@@ -174,6 +174,29 @@ class TestEstimateCommand:
         assert "overflows for n = 200, c = 400.0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "estimate.json").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid-hi", "inf"], "grid lo, hi and step must be finite"),
+        (["--grid-step", "nan"], "grid lo, hi and step must be finite"),
+        (["--grid-step", "1e-320"], "cap"),
+        (["--grid-lo=-1e308", "--grid-hi=1e308"], "cap"),
+        (["--mode", "practical-gamma", "--gamma", "inf"],
+         "gamma must be finite, got inf"),
+        (["--mode", "theoretical-gamma", "--c", "nan"],
+         "c must be finite, got nan"),
+        (["--mode", "theoretical-gamma", "--c-prime=-inf"],
+         "c' must be finite, got -inf"),
+        (["--rescale", "inf"], "rescale factor must be positive and finite"),
+        (["--rescale", "nan"], "rescale factor must be positive and finite"),
+    ])
+    def test_non_finite_numbers_exit_2(self, flags, message, data_csv,
+                                       tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["estimate", "--input", str(data_csv), *flags,
+                   "-o", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_single_row_errors(self, tmp_path):
         one = tmp_path / "one.csv"
         one.write_text("0.5\n")
@@ -269,6 +292,15 @@ class TestWriteCsv:
         assert path.read_bytes() == want.encode("ascii")
         cli._write_csv(path, "x,density\n", xs[:0], ys[:0])
         assert path.read_bytes() == b"x,density\n"
+
+
+def test_json_refuses_non_finite(tmp_path):
+    # NaN and Infinity are not JSON; the file is not even created
+    for bad in (float("inf"), float("nan")):
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError):
+            cli._write_json(path, {"gamma": bad})
+        assert not path.exists()
 
 
 def _replications_text(report):
@@ -423,6 +455,14 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert "0.1234561" in err and "0.1234562" in err
         assert "replications_gamma_0.123456.csv" in err
+        assert list(out.iterdir()) == []
+
+    def test_non_finite_gamma_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "cal"
+        rc = main(["calibrate", "--signal", "uniform", "--gammas", "inf",
+                   "--n", "64", "--reps", "1", "-o", str(out)])
+        assert rc == 2
+        assert "gamma must be finite, got inf" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
 

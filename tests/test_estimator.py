@@ -22,7 +22,6 @@ from wavedens.estimator import (
     Sample,
     coefficient_table,
     estimate,
-    estimate_from_json_dict,
     oracle_estimate,
     practical,
     practical_gamma,
@@ -85,8 +84,7 @@ def unique_level_stats(x, basis, j):
     k_out, inv = np.unique(ks, return_inverse=True)
     s1 = np.bincount(inv, weights=vs, minlength=len(k_out))
     s2 = np.bincount(inv, weights=vs * vs, minlength=len(k_out))
-    njk = np.bincount(inv, minlength=len(k_out))
-    return k_out, s1, s2, njk
+    return k_out, s1, s2
 
 
 def assert_scan_matches_unique(values, basis, levels):
@@ -94,17 +92,18 @@ def assert_scan_matches_unique(values, basis, levels):
     for j in levels:
         got = estimator._level_stats(x, basis, j)
         want = unique_level_stats(x, basis, j)
-        for name, g, w in zip(("ks", "s1", "s2", "njk"), got, want):
+        assert len(got) == len(want) == 3
+        for name, g, w in zip(("ks", "s1", "s2"), got, want):
             assert g.dtype == w.dtype, (j, name)
             assert np.array_equal(g, w), (j, name)
 
 
 def table_cells(sample, config):
-    """{(j, k): (beta_hat, sigma_hat_sq, n_jk)} from the coefficient table."""
+    """{(j, k): (beta_hat, sigma_hat_sq)} from the coefficient table."""
     t = coefficient_table(sample, config)
-    return {(j, k): (beta, sig, njk) for j, k, beta, sig, njk in zip(
+    return {(j, k): (beta, sig) for j, k, beta, sig in zip(
         t.j.tolist(), t.k.tolist(), t.beta_hat.tolist(),
-        t.sigma_hat_sq.tolist(), t.n_jk.tolist())}
+        t.sigma_hat_sq.tolist())}
 
 
 class TestSample:
@@ -263,7 +262,6 @@ class TestEmpiricalCoefficients:
         cells = table_cells(sample, cfg)
         assert [jk for jk in cells if jk[0] == -1] == [(-1, 0)]
         assert cells[(-1, 0)][0] == 1.0
-        assert cells[(-1, 0)][2] == 4
 
     def test_exact_cancellation_skipped(self, haar):
         sample = Sample.from_data([0.1, 0.3, 0.6, 0.9])
@@ -300,12 +298,13 @@ class TestEmpiricalCoefficients:
                 assert max(ks) - min(ks) + 1 <= math.ceil(2 ** j * (hi - lo)) + 1
 
     def test_boundary_observation_counts_both_cells(self, haar):
-        # an observation exactly on an integer belongs to both box translates
+        # an observation exactly on an integer belongs to both box translates;
+        # phi is 1 on its closed support, so beta_hat counts the observations
         sample = Sample.from_data([1.0, 0.2, 0.4, 1.7])
         cfg = EstimatorConfig(basis=haar, mode=practical(), j0_override=-1)
         cells = table_cells(sample, cfg)
-        assert cells[(-1, 0)][2] == 3
-        assert cells[(-1, 1)][2] == 2
+        assert cells[(-1, 0)][0] == 3 / 4
+        assert cells[(-1, 1)][0] == 2 / 4
 
     def test_sup_column_is_the_basis_sup_norm(self, spline, rng):
         sample = Sample.from_data(rng.normal(size=100))
@@ -349,7 +348,7 @@ _SCAN_CASES = {
 
 class TestLevelScan:
     """The run-merging level scan matches the ``np.unique`` reference bit for
-    bit: the same cells, sums, squares and counts, at every level."""
+    bit: the same cells, sums and sums of squares, at every level."""
 
     @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
     @pytest.mark.parametrize("basis_name", ["haar", "spline"])
@@ -373,9 +372,8 @@ class TestLevelScan:
         # == 2.0 and u = frac - 1 == -1.0 after rounding, so the observation
         # meets four translates, among them the one two below its base
         x = np.array([1e-17, 0.75])
-        ks, _, _, njk = estimator._level_stats(x, spline, 0)
+        ks, _, _ = estimator._level_stats(x, spline, 0)
         assert ks.tolist() == [-2, -1, 0, 1]
-        assert njk.tolist() == [1, 2, 2, 2]
 
     @pytest.mark.parametrize("basis_name", ["haar", "spline"])
     @settings(max_examples=150)
@@ -511,7 +509,7 @@ class TestEstimates:
         sample = Sample.from_data(rng.normal(size=50))
         table = coefficient_table(sample,
                                   EstimatorConfig(basis=haar, mode=practical()))
-        for name in ("j", "k", "beta_hat", "sigma_hat_sq", "n_jk", "sup"):
+        for name in ("j", "k", "beta_hat", "sigma_hat_sq", "sup"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(table, name)[0] = 0
 
@@ -565,24 +563,6 @@ def _manual_estimate(basis, rows, positive):
     kept = tuple(KeptCoefficient(*r) for r in rows)
     return DensityEstimate(kept=kept, basis=basis, positive_part=positive,
                            n=100, mode=practical(), j0=5)
-
-
-class TestSerialization:
-    def test_json_round_trip(self, haar, rng):
-        sample = Sample.from_data(rng.random(128))
-        est = estimate(sample, EstimatorConfig(basis=haar, mode=practical()))
-        doc = est.to_json_dict()
-        back = estimate_from_json_dict(doc)
-        assert back.kept == est.kept
-        assert back.n == est.n
-        assert back.positive_part == est.positive_part
-        assert back.mode == est.mode
-        x = np.linspace(-0.5, 1.5, 257)
-        assert np.array_equal(back.evaluate(x), est.evaluate(x))
-
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError, match="format"):
-            estimate_from_json_dict({"format": "nope"})
 
 
 class TestOracle:

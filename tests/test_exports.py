@@ -1,14 +1,18 @@
 """Every name a module exports exists in it, so a deleted function cannot
-linger as an export."""
+linger as an export.  Every export is also read by the library, the
+benchmark or an acceptance criterion, so none lives for its tests alone."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import wavedens
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(wavedens.__path__))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_modules_found():
@@ -21,3 +25,27 @@ def test_all_names_exist(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _used_names(paths) -> set:
+    """Every name the files read, as a bare name or as an attribute."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_export_is_reached():
+    package = Path(wavedens.__file__).parent
+    reached = _used_names([
+        *(p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+        ROOT / "tests" / "test_acceptance.py",
+    ])
+    exported = {name for m in MODULES for name in getattr(
+        importlib.import_module(f"wavedens.{m}"), "__all__", [])}
+    assert sorted(exported - reached) == []

@@ -58,6 +58,19 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, -0.1)
         with pytest.raises(ValueError, match="cap"):
             GridSpec(0.0, 1e5, 1e-6)
+        # non-finite bounds or step, and spans whose point count overflows,
+        # fail before int() sees an infinity
+        inf, nan = float("inf"), float("nan")
+        for lo, hi, step in ((0.0, inf, 0.1), (-inf, 1.0, 0.1),
+                             (0.0, 1.0, inf), (0.0, 1.0, nan),
+                             (nan, 1.0, 0.1)):
+            with pytest.raises(ValueError, match="finite"):
+                GridSpec(lo, hi, step)
+        for lo, hi, step in ((0.0, 1.0, 1e-320), (-1e308, 1e308, 1.0)):
+            with pytest.raises(ValueError, match="cap"):
+                GridSpec(lo, hi, step)
+        with pytest.raises(ValueError, match="overflows"):
+            GridSpec(1.7e308, 1.75e308, 1e308)
 
     def test_hi_normalized_to_whole_steps(self):
         g = GridSpec(0.0, 1.05, 0.5)
