@@ -55,7 +55,7 @@ class CoefficientIndex(NamedTuple):
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFunction:
     """Compactly supported piecewise-constant function.
 
@@ -88,17 +88,15 @@ class StepFunction:
         return float(np.max(np.abs(self.values)))
 
     def eval(self, x):
-        """Exact lookup; scalar in, scalar out."""
-        scalar = np.isscalar(x)
+        """Exact lookup, elementwise."""
         xv = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.breakpoints, xv, side="right") - 1
         idx = np.clip(idx, 0, len(self.values) - 1)
-        out = np.where(
+        return np.where(
             (xv >= self.breakpoints[0]) & (xv <= self.breakpoints[-1]),
             self.values[idx],
             0.0,
         )
-        return float(out) if scalar else out
 
     def moment(self, m: int) -> float:
         """Exact ``integral of x**m`` against the step function.
@@ -110,7 +108,7 @@ class StepFunction:
         return float(np.sum(self.values * np.diff(powers)) / (m + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedFunction:
     """Function tabulated on a dyadic grid, linear between nodes, 0 outside.
 
@@ -122,7 +120,7 @@ class TabulatedFunction:
     hi: float
     grid_exponent: int
     samples: np.ndarray
-    _grid: np.ndarray = field(init=False, repr=False, compare=False)
+    _grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -144,11 +142,9 @@ class TabulatedFunction:
         return float(self.lo), float(self.hi)
 
     def eval(self, x):
-        scalar = np.isscalar(x)
-        xv = np.asarray(x, dtype=float)
-        out = np.interp(xv, self._grid, self.samples, left=0.0, right=0.0)
-        out = np.where((xv >= self.lo) & (xv <= self.hi), out, 0.0)
-        return float(out) if scalar else out
+        """Linear interpolation, elementwise; the first and last nodes are
+        ``lo`` and ``hi``, so a finite point outside them gives 0."""
+        return np.interp(x, self._grid, self.samples, left=0.0, right=0.0)
 
 
 ReconstructionFunction = Union[StepFunction, TabulatedFunction]
@@ -193,32 +189,28 @@ def _analysis_wavelet() -> StepFunction:
     return StepFunction(breakpoints, 2.0 * g_values)
 
 
-def _cascade_samples(taps, offset, grid_exponent, tol, max_iter):
+def _cascade_samples(taps, grid_exponent, tol, max_iter):
     """Fixed-grid refinement iteration for the scaling function samples.
 
     Starts from a hat function (partition of unity) and iterates
     ``v(x) <- 2 * sum_k h_k v(2x - k)`` on the dyadic grid until successive
-    sup-norm differences fall below ``tol``.
+    sup-norm differences fall below ``tol``.  Sample i sits at node
+    ``i * 2**-grid_exponent`` past the first tap's position, which the
+    iteration itself never reads.
     """
-    lo = offset
-    hi = offset + len(taps) - 1
     scale = 1 << grid_exponent
-    npts = (hi - lo) * scale + 1
-    x = lo + np.arange(npts) / scale
-    center = 0.5 * (lo + hi)
-    v = np.maximum(0.0, 1.0 - np.abs(x - center))
-    # Precompute, per tap, the source indices of 2x - k (always grid points).
-    index_sets = []
-    for i, _ in enumerate(taps):
-        k = offset + i
-        y = 2.0 * x - k
-        idx = np.round((y - lo) * scale).astype(np.int64)
-        valid = (idx >= 0) & (idx < npts)
-        index_sets.append((np.clip(idx, 0, npts - 1), valid))
+    span = (len(taps) - 1) * scale       # grid intervals under the support
+    x = np.arange(span + 1) / scale
+    v = np.maximum(0.0, 1.0 - np.abs(x - 0.5 * (len(taps) - 1)))
+    # Node i of v(2x - k) is node 2i - t * scale of v, t the tap index of k:
+    # a stride-2 slice of v laid in zeros, ``span`` nodes of them each side.
+    padded = np.zeros(3 * span + 1)
     for _ in range(max_iter):
+        padded[span:2 * span + 1] = v
         w = np.zeros_like(v)
-        for (idx, valid), h in zip(index_sets, taps):
-            w += np.where(valid, 2.0 * h * v[idx], 0.0)
+        for t, h in enumerate(taps):
+            start = span - t * scale
+            w += 2.0 * h * padded[start:start + 2 * span + 1:2]
         delta = float(np.max(np.abs(w - v)))
         v = w
         if delta < tol:
@@ -250,27 +242,20 @@ def spline_basis() -> BiorthogonalBasis:
 
     phit_lo = _DUAL_OFFSET
     phit_hi = _DUAL_OFFSET + len(_DUAL_LOWPASS) - 1
-    phit_samples = _cascade_samples(_DUAL_LOWPASS, _DUAL_OFFSET,
-                                    _GRID_EXPONENT, 1e-10, 60)
+    phit_samples = _cascade_samples(_DUAL_LOWPASS, _GRID_EXPONENT, 1e-10, 60)
     phi_tilde = TabulatedFunction(float(phit_lo), float(phit_hi),
                                   _GRID_EXPONENT, phit_samples)
 
     # psi~(x) = phi~(2x) - phi~(2x - 1), supported on [lo/2, (hi+1)/2];
-    # both arguments land on the phi~ grid, so the tabulation is exact
-    # (no interpolation in the construction).
-    scale = 1 << _GRID_EXPONENT
+    # both arguments land on phi~ nodes, where the lookup returns the
+    # node's own sample, so the tabulation is exact.
     psit_lo = phit_lo / 2.0
     psit_hi = (phit_hi + 1) / 2.0
-    m = np.arange(round((psit_hi - psit_lo) * scale) + 1)
-    idx1 = 2 * m          # phi~ grid index of 2x
-    idx2 = 2 * m - scale  # phi~ grid index of 2x - 1
-    take = np.clip(idx1, 0, len(phit_samples) - 1)
-    a = np.where((idx1 >= 0) & (idx1 < len(phit_samples)),
-                 phit_samples[take], 0.0)
-    take = np.clip(idx2, 0, len(phit_samples) - 1)
-    b = np.where((idx2 >= 0) & (idx2 < len(phit_samples)),
-                 phit_samples[take], 0.0)
-    psi_tilde = TabulatedFunction(psit_lo, psit_hi, _GRID_EXPONENT, a - b)
+    scale = 1 << _GRID_EXPONENT
+    x = psit_lo + np.arange(round((psit_hi - psit_lo) * scale) + 1) / scale
+    psi_tilde = TabulatedFunction(
+        psit_lo, psit_hi, _GRID_EXPONENT,
+        phi_tilde.eval(2.0 * x) - phi_tilde.eval(2.0 * x - 1.0))
 
     # r records the vanishing-moment order of the analysis wavelet minus
     # one: psi is orthogonal to polynomials of degree <= r (checked in the
@@ -303,8 +288,9 @@ def level_function(basis: BiorthogonalBasis, j: int, *,
 def _eval_dilated(basis, idx, x, synthesis):
     j, k = idx
     fn, amp, scale = level_function(basis, j, synthesis=synthesis)
-    # a scalar x gives a numpy scalar argument, which fn.eval maps to a float
-    return amp * fn.eval(scale * np.asarray(x, dtype=float) - k)
+    xv = np.asarray(x, dtype=float)
+    out = amp * fn.eval(scale * xv - k)
+    return float(out) if xv.ndim == 0 else out
 
 
 def eval_decomposition(basis: BiorthogonalBasis, idx, x):

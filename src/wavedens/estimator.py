@@ -58,15 +58,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """Sorted 1-D sample with at least two finite observations."""
 
     observations: np.ndarray
-    # the level scans fitted to this sample, (id(basis), j0) -> (basis,
-    # columns); holding the basis keeps its id from being reused
-    _scans: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    # the level scans fitted to this sample, (basis, j0) -> columns
+    _scans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         obs = np.asarray(self.observations, dtype=float)
@@ -340,7 +338,7 @@ def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """Every nonzero empirical cell of levels -1..j0, sorted by (j, k).
 
@@ -374,10 +372,10 @@ def coefficient_table(sample: Sample, config: EstimatorConfig) -> CoefficientTab
     floor() and the int64 translate index stop being exact.
     """
     j0 = config.j0(sample.n)
-    key = (id(config.basis), j0)
+    key = (config.basis, j0)
     if key not in sample._scans:
-        sample._scans[key] = (config.basis, _scan(sample, config.basis, j0))
-    j, ks, beta, sig, sup = sample._scans[key][1]
+        sample._scans[key] = _scan(sample, config.basis, j0)
+    j, ks, beta, sig, sup = sample._scans[key]
     eta = _threshold_value(sig, sup, sample.n, config.mode)
     return CoefficientTable(j=j, k=ks, beta_hat=beta, sigma_hat_sq=sig,
                             sup=sup, eta=eta, kept=np.abs(beta) >= eta, j0=j0)

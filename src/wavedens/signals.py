@@ -82,8 +82,10 @@ class Uniform01(TestSignal):
 
 class _Normal:
     def __init__(self, mu, sigma):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu!r}")
+        if not 0 < sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
         self.mu = float(mu)
         self.sigma = float(sigma)
 
@@ -109,8 +111,8 @@ class _StudentT:
     """Standard Student t component (location 0, unit scale)."""
 
     def __init__(self, df):
-        if df <= 0:
-            raise ValueError("degrees of freedom must be positive")
+        if not 0 < df < math.inf:
+            raise ValueError(f"df must be positive and finite, got {df!r}")
         self.df = float(df)
         # closed-form density constant, cheaper than the generic machinery
         # on the wide grids the heavy tail forces
@@ -179,6 +181,8 @@ def Gauss(mu: float, sigma: float) -> Mixture:
 def mixture_gd(d: float) -> Mixture:
     """Equal-weight pair of unit-variance Gaussians centered at 0 and d;
     the separation d stretches the support without changing the shapes."""
+    if not math.isfinite(d):
+        raise ValueError(f"d must be finite, got {d!r}")
     return Mixture(f"gd({d:g})", [0.5, 0.5], [_Normal(0.0, 1.0), _Normal(d, 1.0)])
 
 

@@ -1,5 +1,7 @@
 """Tests for the biorthogonal wavelet families."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -111,7 +113,7 @@ class TestSplineConstruction:
         # a filter violating the sum rule cannot have a fixed point
         bad = np.array([0.9, 0.9])
         with pytest.raises(CascadeError):
-            _cascade_samples(bad, 0, 10, 1e-10, 60)
+            _cascade_samples(bad, 10, 1e-10, 60)
 
     def test_scaling_function_unit_mass(self, spline):
         total = np.trapezoid(spline.phi_tilde.samples,
@@ -138,6 +140,23 @@ class TestSplineConstruction:
         for probe in (node, np.float64(node), np.array(node)):
             got = eval_reconstruction(spline, (0, 0), probe)
             assert type(got) is float and got == tab.samples[i]
+
+    def test_tabulation_is_pinned_bit_for_bit(self, spline):
+        # every output built on the synthesis side inherits these tables
+        def digest(tab):
+            return hashlib.sha256(tab.samples.tobytes()).hexdigest()
+        assert digest(spline.phi_tilde) == (
+            "aadfeb9167037ff40a6309343fb6dedfbdc613453c90f186ccaccc17bd222a61")
+        assert digest(spline.psi_tilde) == (
+            "23c50cc1131c75381a43c9d81c948c9e60d545aa4b6a8f51f200bb4bde5cbbe6")
+
+    def test_nan_point(self, spline, haar):
+        # the tabulated side interpolates NaN to NaN; a step function
+        # lookup has no piece holding NaN and gives 0
+        for j in (-1, 0):
+            assert np.isnan(eval_reconstruction(spline, (j, 0), np.nan))
+            assert eval_decomposition(spline, (j, 0), np.nan) == 0.0
+            assert eval_reconstruction(haar, (j, 0), np.nan) == 0.0
 
     def test_outside_support_is_zero(self, spline):
         lo, hi = reconstruction_support(spline, (0, 0))

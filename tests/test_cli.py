@@ -518,6 +518,20 @@ class TestBenchCommand:
         assert rc == 0
         assert (out / "replications_H_16.csv").exists()
 
+    @pytest.mark.parametrize("sweep, value, message", [
+        ("support", "inf", "d must be finite, got inf"),
+        ("tail", "nan", "df must be positive and finite, got nan"),
+    ])
+    def test_non_finite_values_exit_2(self, sweep, value, message, tmp_path,
+                                      capsys):
+        out = tmp_path / "bench"
+        rc = main(["bench", "--sweep", sweep, "--values", value,
+                   "--methods", "H", "--n", "64", "--reps", "1",
+                   "-o", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_outputs_independent_of_worker_count(self, tmp_path):
         # manifests written before the thread pool was removed carry a
         # "workers" key; rerun ignores it and reproduces every byte
@@ -553,6 +567,24 @@ class TestSampleCommand:
         obs = Bumps().sample(4, 20000).observations
         want = "".join(f"{float(v)!r}\n" for v in obs)
         assert (out / "sample.csv").read_bytes() == want.encode("ascii")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--signal", "hk", "--df", "inf"],
+         "df must be positive and finite, got inf"),
+        (["--signal", "hk", "--df", "nan"],
+         "df must be positive and finite, got nan"),
+        (["--signal", "gauss", "--mu", "inf"], "mu must be finite, got inf"),
+        (["--signal", "gauss", "--sigma", "nan"],
+         "sigma must be positive and finite, got nan"),
+        (["--signal", "gd", "--d", "inf"], "d must be finite, got inf"),
+    ])
+    def test_non_finite_signal_parameters_exit_2(self, flags, message,
+                                                 tmp_path, capsys):
+        out = tmp_path / "s"
+        rc = main(["sample", *flags, "--n", "10", "-o", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestManifestRerun:

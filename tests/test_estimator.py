@@ -12,6 +12,8 @@ from numpy.testing import assert_allclose
 from wavedens import estimator
 from wavedens.basis import (
     CoefficientIndex,
+    StepFunction,
+    TabulatedFunction,
     eval_decomposition,
     level_function,
     sup_norm,
@@ -30,6 +32,7 @@ from wavedens.estimator import (
     variance_hat,
     variance_tilde,
 )
+from wavedens.kernel import fit_kernel
 from wavedens.signals import Bumps, Gauss, Uniform01
 
 
@@ -119,6 +122,44 @@ class TestSample:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             Sample.from_data([1.0, float("nan")])
+
+
+class TestRecordIdentity:
+    """Records that hold arrays compare and hash by identity; the records
+    built from them compare field by field, and every record hashes."""
+
+    def test_array_records_compare_by_identity(self, spline, rng):
+        sample = Sample.from_data(rng.normal(size=64))
+        table = coefficient_table(sample, EstimatorConfig(spline, practical()))
+        step, tab = spline.psi, spline.phi_tilde
+        for record, copy in [
+            (sample, Sample(sample.observations)),
+            (step, StepFunction(step.breakpoints, step.values)),
+            (tab, TabulatedFunction(tab.lo, tab.hi, tab.grid_exponent,
+                                    tab.samples)),
+            (table, dataclasses.replace(table)),
+        ]:
+            assert record == record
+            assert record != copy
+            assert len({record, copy}) == 2
+
+    def test_composite_records_compare_field_by_field(self, haar, spline,
+                                                      rng):
+        sample = Sample.from_data(rng.normal(size=64))
+        config = EstimatorConfig(spline, practical())
+        same = EstimatorConfig(spline, practical())
+        assert spline == spline and hash(spline) == hash(spline)
+        assert spline != haar
+        assert config == same and hash(config) == hash(same)
+        assert config != EstimatorConfig(haar, practical())
+        fit, again = estimate(sample, config), estimate(sample, same)
+        assert fit == again and hash(fit) == hash(again)
+        assert fit != estimate(sample, EstimatorConfig(spline,
+                                                       practical_gamma(0.5)))
+        kernel, again = fit_kernel(sample), fit_kernel(sample)
+        assert kernel == again and hash(kernel) == hash(again)
+        # a copy of the sample is another sample, so another fit
+        assert kernel != fit_kernel(Sample(sample.observations))
 
 
 class TestVarianceHat:

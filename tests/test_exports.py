@@ -1,8 +1,10 @@
 """Every name a module exports exists in it, so a deleted function cannot
 linger as an export.  Every export is also read by the library, the
-benchmark or an acceptance criterion, so none lives for its tests alone."""
+benchmark or an acceptance criterion, so none lives for its tests alone.
+Records that hold arrays compare by identity."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -49,3 +51,17 @@ def test_every_export_is_reached():
     exported = {name for m in MODULES for name in getattr(
         importlib.import_module(f"wavedens.{m}"), "__all__", [])}
     assert sorted(exported - reached) == []
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # a generated == on an array field raises, and so does the hash of
+    # any record holding such a record; eq=False keeps identity semantics
+    field_by_field = sorted(
+        f"{name}.{cls.__name__}"
+        for name in MODULES
+        for cls in vars(importlib.import_module(f"wavedens.{name}")).values()
+        if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+        and cls.__module__ == f"wavedens.{name}"
+        and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))
+        and cls.__eq__ is not object.__eq__)
+    assert field_by_field == []

@@ -1,6 +1,7 @@
 """Tests for the analytic test densities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,23 @@ class TestGaussAndMixtures:
     def test_sample_too_small(self):
         with pytest.raises(ValueError):
             Gauss(0.0, 1.0).sample(1, 1)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Gauss(math.inf, 1.0), "mu must be finite, got inf"),
+        (lambda: Gauss(math.nan, 1.0), "mu must be finite, got nan"),
+        (lambda: Gauss(0.0, math.nan), "sigma must be positive and finite, got nan"),
+        (lambda: Gauss(0.0, math.inf), "sigma must be positive and finite, got inf"),
+        (lambda: Gauss(0.0, 0.0), "sigma must be positive and finite, got 0.0"),
+        (lambda: mixture_gd(math.inf), "d must be finite, got inf"),
+        (lambda: mixture_gd(-math.inf), "d must be finite, got -inf"),
+        (lambda: mixture_gd(math.nan), "d must be finite, got nan"),
+        (lambda: mixture_hk(math.inf), "df must be positive and finite, got inf"),
+        (lambda: mixture_hk(math.nan), "df must be positive and finite, got nan"),
+        (lambda: mixture_hk(0.0), "df must be positive and finite, got 0.0"),
+    ])
+    def test_rejects_bad_parameter_by_name(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 class TestBumps:
