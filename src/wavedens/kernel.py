@@ -14,11 +14,21 @@ no n-by-n array is built.  The fitted density sums, at each point, only
 the observations within ``_REACH`` bandwidths, so it is exactly 0 outside
 ``support_hull()``; each term it drops is below exp(-_REACH^2 / 2) times
 the kernel's peak.
+
+The blocks of the score and the chunks of the evaluation are independent,
+so they run on up to min(8, usable CPUs) threads, the caller's and those
+of a pool that starts on the first fit, all in the caller's numpy error
+state.  The block sums are added in block order and each chunk writes only
+its own values, so scores, bandwidths and densities do not depend on the
+thread count.  A forked child starts its own pool.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +51,59 @@ _EVAL_CHUNK = 256
 _LSCV_BLOCK = 32
 # exp(-q) rounds to exactly 0.0 for every q past this bound.
 _EXP_UNDERFLOW = 745.2
+# Bandwidths per exponential call over a block's whole window.
+_LSCV_BATCH = 4
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Threads per parallel loop, the caller's included; capped so that a large
+# host starts a bounded number.
+_WORKERS = min(8, _usable_cpus())
+# (pid, executor): a pool's threads do not survive a fork, so a child that
+# inherits its parent's pool builds its own.  Two first callers racing here
+# each build one; the pool left unreferenced is collected and its threads
+# exit.
+_pool = (None, None)
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    pid, pool = _pool
+    if pid != os.getpid():
+        pool = ThreadPoolExecutor(_WORKERS - 1)
+        _pool = (os.getpid(), pool)
+    return pool
+
+
+def _in_parallel(fn, items) -> list:
+    """``[fn(i) for i in items]``, in item order.  Worker ``w`` of ``W``
+    takes items ``w, w + W, ...``; the caller is worker 0, and the others
+    run in copies of its context, so the caller's ``np.errstate`` holds
+    there too."""
+    items = list(items)
+    w = min(_WORKERS, len(items))
+    if w < 2:
+        return [fn(i) for i in items]
+
+    def share(part):
+        return [fn(i) for i in part]
+
+    futures = [_executor().submit(contextvars.copy_context().run, share,
+                                  items[k::w]) for k in range(1, w)]
+    out = [None] * len(items)
+    try:
+        out[0::w] = share(items[0::w])
+    finally:
+        wait(futures)
+    for k, fut in enumerate(futures, 1):
+        out[k::w] = fut.result()
+    return out
 
 
 @dataclass(frozen=True)
@@ -88,11 +151,11 @@ def _lscv_scores(x: np.ndarray, hs: np.ndarray) -> np.ndarray:
     bandwidth of ``hs``, from the pairs i < j in blocks of rows."""
     n = len(x)
     four_h2 = 4.0 * hs * hs
-    s1 = np.zeros(len(hs))  # sum over pairs of exp(-d^2/4h^2)
-    s2 = np.zeros(len(hs))  # sum over pairs of its square, exp(-d^2/2h^2)
     reach = 2.0 * hs * math.sqrt(_EXP_UNDERFLOW)
-    buf = np.empty(_LSCV_BLOCK * n)
-    for r0 in range(0, n - 1, _LSCV_BLOCK):
+
+    def block(r0):
+        """Row 0 sums exp(-d^2/4h^2) over the block's pairs at each
+        bandwidth, row 1 its square exp(-d^2/2h^2)."""
         r1 = min(r0 + _LSCV_BLOCK, n - 1)
         # columns past ends[k] are out of reach of every row of the block
         ends = np.searchsorted(x, x[r1 - 1] + reach, side="right") - (r0 + 1)
@@ -100,16 +163,29 @@ def _lscv_scores(x: np.ndarray, hs: np.ndarray) -> np.ndarray:
         d2 *= d2
         diag = d2[:, :r1 - r0]  # column c is j = r0 + 1 + c; keep j > i
         diag[np.tri(*diag.shape, k=-1, dtype=bool)] = np.inf
-        for k, m in enumerate(ends):
-            # integral(fhat^2): pairwise Gaussian kernel at scale sqrt(2) h,
-            # i.e. exp(-d^2/4h^2); the leave-one-out sum needs the kernel at
-            # scale h, which is the square of the same exponential.
-            e = buf[:(r1 - r0) * m].reshape(r1 - r0, m)
-            np.divide(d2[:, :m], -four_h2[k], out=e)
+        sums = np.zeros((2, len(hs)))
+        # integral(fhat^2): pairwise Gaussian kernel at scale sqrt(2) h,
+        # i.e. exp(-d^2/4h^2); the leave-one-out sum needs the kernel at
+        # scale h, which is the square of the same exponential.
+        # The bandwidths that reach every column (a suffix of the grid)
+        # share one exponential call, a few at a time; each row's sum is
+        # np.sum of its own (rows, columns) array bit for bit.
+        full = int(np.searchsorted(ends, ends[-1]))
+        starts = [*range(full), *range(full, len(hs), _LSCV_BATCH)]
+        for g0, g1 in zip(starts, starts[1:] + [len(hs)]):
+            e = np.divide(d2[None, :, :ends[g1 - 1]],
+                          -four_h2[g0:g1, None, None])
             np.exp(e, out=e)
-            s1[k] += np.sum(e)
+            sums[0, g0:g1] = e.reshape(g1 - g0, -1).sum(axis=1)
             e *= e
-            s2[k] += np.sum(e)
+            sums[1, g0:g1] = e.reshape(g1 - g0, -1).sum(axis=1)
+        return sums
+
+    s1 = np.zeros(len(hs))  # sum over pairs of exp(-d^2/4h^2)
+    s2 = np.zeros(len(hs))  # sum over pairs of its square, exp(-d^2/2h^2)
+    for b1, b2 in _in_parallel(block, range(0, n - 1, _LSCV_BLOCK)):
+        s1 += b1  # in block order, as a serial scan would add them
+        s2 += b2
     quad = (n + 2.0 * s1) / (n * n * 2.0 * hs * math.sqrt(math.pi))
     loo = 4.0 * s2 / (n * (n - 1) * hs * _SQRT_2PI)
     return quad - loo
@@ -146,7 +222,8 @@ def eval_kernel(estimate: KernelEstimate, grid) -> np.ndarray:
 
     def density(pts):
         out = np.zeros_like(pts)
-        for start in range(0, len(pts), _EVAL_CHUNK):
+
+        def chunk_at(start):
             chunk = pts[start:start + _EVAL_CHUNK]
             i0 = int(np.searchsorted(x, chunk[0] - reach, side="left"))
             i1 = int(np.searchsorted(x, chunk[-1] + reach, side="right"))
@@ -157,6 +234,8 @@ def eval_kernel(estimate: KernelEstimate, grid) -> np.ndarray:
             np.exp(z, out=z)
             z *= near
             out[start:start + _EVAL_CHUNK] = norm * np.sum(z, axis=1)
+
+        _in_parallel(chunk_at, range(0, len(pts), _EVAL_CHUNK))
         return out
 
     return eval_ascending(density, grid)

@@ -1,12 +1,19 @@
 """Tests for the cross-validated kernel baseline."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import wavedens
+from wavedens import kernel
 from wavedens.estimator import Sample
 from wavedens.kernel import (
     _REACH,
@@ -248,3 +255,123 @@ class TestEvalKernel:
             dense = _dense_kde(sample.observations, h, x)
             dropped = math.exp(-0.5 * _REACH ** 2) / (h * math.sqrt(2 * math.pi))
             assert_allclose(eval_kernel(fit, x), dense, rtol=1e-12, atol=dropped)
+
+
+def _fit_in_child(sample, conn):
+    conn.send(fit_kernel(sample).cv_scores)
+    conn.close()
+
+
+class TestThreads:
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """Set the thread count; the pool made for each count is shut down
+        when the count changes or the test ends."""
+        def drop_pool():
+            if kernel._pool[1] is not None:
+                kernel._pool[1].shutdown()
+            kernel._pool = (None, None)
+
+        def set_workers(w):
+            drop_pool()
+            monkeypatch.setattr(kernel, "_WORKERS", w)
+
+        monkeypatch.setattr(kernel, "_pool", (None, None))
+        yield set_workers
+        drop_pool()
+
+    @pytest.mark.parametrize("signal", [mixture_gd(10), mixture_gd(70),
+                                        mixture_hk(2), Bumps()],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_thread_count_does_not_change_results(self, signal, n, workers):
+        # one thread is the serial scan; the block sums are added in block
+        # order whichever thread computed them
+        sample = signal.sample(7, n)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for w in (1, 2, 3):
+                workers(w)
+                fit = fit_kernel(sample)
+                lo, hi = fit.support_hull()
+                grid = np.arange(lo - 1.0, hi + 1.0, 2.0 ** -6)
+                grid = grid[np.random.default_rng(3).permutation(len(grid))]
+                results.append((np.array(fit.cv_scores), fit.bandwidth,
+                                eval_kernel(fit, grid)))
+        finally:
+            sys.setswitchinterval(interval)
+        for scores, h, values in results[1:]:
+            assert np.array_equal(scores, results[0][0])
+            assert h == results[0][1]
+            assert np.array_equal(values, results[0][2])
+
+    def test_caller_errstate_reaches_workers(self, workers):
+        workers(2)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                kernel._in_parallel(lambda i: np.exp(np.float64(1000.0)),
+                                    range(4))
+            # items 1 and 3 run on the pool's thread, not the caller's
+            with pytest.raises(FloatingPointError):
+                kernel._in_parallel(
+                    lambda i: np.exp(np.float64(1000.0 * (i % 2))), range(4))
+        # a RuntimeWarning from any thread is an error under pytest's filter
+        with np.errstate(over="ignore"):
+            got = kernel._in_parallel(lambda i: np.exp(np.float64(1000.0)),
+                                      range(4))
+        assert got == [np.inf] * 4
+
+    def test_non_finite_score_rejected_across_threads(self, workers):
+        # two blocks of rows, one per thread, both overflowing
+        workers(2)
+        data = [1e308, -1e308] + [float(i) for i in range(62)]
+        with pytest.raises(ValueError, match="not finite"):
+            fit_kernel(Sample.from_data(data))
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_fits(self, workers):
+        # the parent's pool threads do not exist in a forked child; a pool
+        # kept across the fork would leave the child's fit waiting forever
+        workers(2)
+        sample = mixture_gd(30).sample(4, 256)
+        want = fit_kernel(sample).cv_scores
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        with recv:
+            child = ctx.Process(target=_fit_in_child, args=(sample, send))
+            child.start()
+            send.close()
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+                child.join()
+            assert child.exitcode == 0
+            assert recv.recv() == want
+
+    def test_import_starts_no_thread(self):
+        code = ("import threading, wavedens.cli\n"
+                "before = threading.active_count()\n"
+                "from wavedens import kernel\n"
+                "from wavedens.signals import mixture_gd\n"
+                "kernel.fit_kernel(mixture_gd(30).sample(1, 1024))\n"
+                "print(before, threading.active_count(), kernel._WORKERS)\n")
+        src = str(Path(wavedens.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        before, after, workers = map(int, proc.stdout.split())
+        assert before == 1
+        assert after <= 1 + workers
+        assert 1 <= workers <= 8
+
+    def test_cpu_count_fallback(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert kernel._usable_cpus() == 5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavedens import estimator
+from wavedens import estimator, risk
 from wavedens.basis import basis_by_name, haar_basis, spline_basis
 from wavedens.estimator import (
     DensityEstimate,
@@ -28,7 +28,7 @@ from wavedens.risk import (
     support_sweep,
     tail_sweep,
 )
-from wavedens.signals import Bumps, Gauss, Uniform01, mixture_hk
+from wavedens.signals import Bumps, Gauss, Uniform01, mixture_gd, mixture_hk
 
 
 def _haar_estimate(rows, positive=True):
@@ -175,6 +175,20 @@ class TestSweeps:
         assert a == b
         for full, part in zip(a, head):
             assert full.ise_values[:4] == part.ise_values
+
+    def test_replication_order_does_not_change_errors(self):
+        # each replication's errors come from (master seed, index) alone,
+        # threaded kernel fit included, so reversed and shuffled runs of
+        # the replications reproduce the sweep's values bit for bit
+        sig = mixture_gd(30)
+        methods = resolve_methods(["S", "H", "S*", "K"])
+        reports = mise_sweep(sig, 256, methods, 4, 5)
+        want = {rep: [r.ise_values[rep] for r in reports] for rep in range(4)}
+        shuffled = [int(i) for i in np.random.default_rng(5).permutation(4)]
+        for order in ([3, 2, 1, 0], shuffled):
+            got = {rep: risk._run_replication(sig, 256, methods, 5, rep)
+                   for rep in order}
+            assert got == want
 
     def test_same_sample_shared_across_methods(self):
         # two labels for the same rule must produce identical error columns
