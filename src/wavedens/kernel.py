@@ -16,11 +16,11 @@ the observations within ``_REACH`` bandwidths, so it is exactly 0 outside
 the kernel's peak.
 
 The blocks of the score and the chunks of the evaluation are independent,
-so they run on up to min(8, usable CPUs) threads, the caller's and those
-of a pool that starts on the first fit, all in the caller's numpy error
-state.  The block sums are added in block order and each chunk writes only
-its own values, so scores, bandwidths and densities do not depend on the
-thread count.  A forked child starts its own pool.
+so they run on up to min(2, usable CPUs) threads: the caller's and one
+started for the call and joined before it returns, both in the caller's
+numpy error state (a context variable from numpy 2 on).  The block sums
+are added in block order and each chunk writes only its own values, so
+scores, bandwidths and densities do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,47 +62,41 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Threads per parallel loop, the caller's included; capped so that a large
-# host starts a bounded number.
-_WORKERS = min(8, _usable_cpus())
-# (pid, executor): a pool's threads do not survive a fork, so a child that
-# inherits its parent's pool builds its own.  Two first callers racing here
-# each build one; the pool left unreferenced is collected and its threads
-# exit.
-_pool = (None, None)
-
-
-def _executor() -> ThreadPoolExecutor:
-    global _pool
-    pid, pool = _pool
-    if pid != os.getpid():
-        pool = ThreadPoolExecutor(_WORKERS - 1)
-        _pool = (os.getpid(), pool)
-    return pool
+# Threads per parallel loop, the caller's included: the count whose gain
+# and memory were measured.
+_WORKERS = min(2, _usable_cpus())
 
 
 def _in_parallel(fn, items) -> list:
     """``[fn(i) for i in items]``, in item order.  Worker ``w`` of ``W``
     takes items ``w, w + W, ...``; the caller is worker 0, and the others
-    run in copies of its context, so the caller's ``np.errstate`` holds
-    there too."""
+    are threads started here in copies of its context, so the caller's
+    ``np.errstate`` holds there too.  An error in a started thread is
+    raised here once every thread has finished."""
     items = list(items)
     w = min(_WORKERS, len(items))
     if w < 2:
         return [fn(i) for i in items]
-
-    def share(part):
-        return [fn(i) for i in part]
-
-    futures = [_executor().submit(contextvars.copy_context().run, share,
-                                  items[k::w]) for k in range(1, w)]
     out = [None] * len(items)
+    errors = []
+
+    def share(k):
+        try:
+            out[k::w] = [fn(i) for i in items[k::w]]
+        except BaseException as exc:  # raised in the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(share, k)) for k in range(1, w)]
+    for t in threads:
+        t.start()
     try:
-        out[0::w] = share(items[0::w])
+        out[0::w] = [fn(i) for i in items[0::w]]
     finally:
-        wait(futures)
-    for k, fut in enumerate(futures, 1):
-        out[k::w] = fut.result()
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
     return out
 
 
