@@ -23,6 +23,7 @@ tuning constant.  ``practical`` is ``practical-gamma`` at g = 1, and a
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -382,18 +383,25 @@ def coefficient_table(sample: Sample, config: EstimatorConfig) -> CoefficientTab
 
 
 def eval_ascending(fn, grid) -> np.ndarray:
-    """``fn`` at the points of ``grid``, of any shape and order.  ``fn``
-    maps an ascending 1-D array to its values there; a grid that is not
-    ascending is sorted for it (stably) and its values are put back in the
-    grid's order, so every order of the same points gives the same values
-    bit for bit."""
-    x = np.atleast_1d(np.asarray(grid, dtype=float))
+    """``fn`` at the points of ``grid``, of any shape and order (a scalar
+    gives a 0-d array), and NaN at a NaN point.  ``fn`` maps an ascending
+    1-D array to a new array of its values there; a grid that is not
+    ascending is sorted for it (stably, NaN last) and its values are put
+    back in the grid's order, so every order of the same points gives the
+    same values bit for bit."""
+    x = np.asarray(grid, dtype=float)
     shape, x = x.shape, x.ravel()
+
+    def values(xs):
+        out = fn(xs)
+        out[np.searchsorted(xs, np.nan):] = np.nan  # NaN sorts last
+        return out
+
     if np.all(x[1:] >= x[:-1]):
-        return fn(x).reshape(shape)
+        return values(x).reshape(shape)
     order = np.argsort(x, kind="stable")
     out = np.empty_like(x)
-    out[order] = fn(x[order])
+    out[order] = values(x[order])
     return out.reshape(shape)
 
 
@@ -418,28 +426,53 @@ class DensityEstimate:
         return {CoefficientIndex(row.j, row.k): row.value for row in self.kept}
 
     def support_hull(self) -> Optional[tuple[float, float]]:
-        """Hull of the reconstruction supports of the kept cells."""
+        """Hull of the reconstruction supports of the kept cells.  The rows
+        are sorted by (j, k) and a support moves right with k, so each
+        level's first and last rows bound it."""
         if not self.kept:
             return None
-        los, his = zip(*(reconstruction_support(self.basis, (row.j, row.k))
-                         for row in self.kept))
+        los, his = [], []
+        for j in range(self.kept[0].j, self.kept[-1].j + 1):
+            first = bisect.bisect_left(self.kept, (j,))
+            last = bisect.bisect_left(self.kept, (j + 1,)) - 1
+            if first <= last:
+                los.append(reconstruction_support(
+                    self.basis, (j, self.kept[first].k))[0])
+                his.append(reconstruction_support(
+                    self.basis, (j, self.kept[last].k))[1])
         return min(los), max(his)
 
-    def evaluate(self, grid) -> np.ndarray:
+    def evaluate(self, grid, *, cells: Optional[dict] = None) -> np.ndarray:
         """Pointwise reconstruction on ``grid``, clipped at zero when the
         estimate carries the positive-part flag.  Exactly zero outside the
-        kept reconstruction supports."""
-        return eval_ascending(self._evaluate_ascending, grid)
+        kept reconstruction supports, and NaN at a NaN point.
 
-    def _evaluate_ascending(self, x: np.ndarray) -> np.ndarray:
+        ``cells`` is a cache handle, not an option: a dict that keeps each
+        kept cell's synthesis values on these points, keyed by
+        ``(basis, j, k)``, so that estimates evaluated on the same points
+        compute each cell once.  Pass it only with the points it was
+        filled on; ``None`` keeps nothing.  The values do not depend on it.
+        """
+        return eval_ascending(lambda x: self._evaluate_ascending(x, cells),
+                              grid)
+
+    def _evaluate_ascending(self, x: np.ndarray, cells) -> np.ndarray:
         out = np.zeros_like(x)
         # each kept cell touches one run of the ascending points
         for row in self.kept:
-            fn, amp, scale = level_function(self.basis, row.j, synthesis=True)
-            lo, hi = reconstruction_support(self.basis, (row.j, row.k))
-            i0 = np.searchsorted(x, lo, side="left")
-            i1 = np.searchsorted(x, hi, side="right")
-            out[i0:i1] += row.value * amp * fn.eval(scale * x[i0:i1] - row.k)
+            key = (self.basis, row.j, row.k)
+            cell = None if cells is None else cells.get(key)
+            if cell is None:
+                fn, amp, scale = level_function(self.basis, row.j,
+                                                synthesis=True)
+                lo, hi = reconstruction_support(self.basis, (row.j, row.k))
+                i0 = np.searchsorted(x, lo, side="left")
+                i1 = np.searchsorted(x, hi, side="right")
+                cell = i0, i1, amp, fn.eval(scale * x[i0:i1] - row.k)
+                if cells is not None:
+                    cells[key] = cell
+            i0, i1, amp, values = cell
+            out[i0:i1] += (row.value * amp) * values
         if self.positive_part:
             np.maximum(out, 0.0, out=out)
         return out

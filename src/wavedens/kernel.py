@@ -206,8 +206,9 @@ def eval_kernel(estimate: KernelEstimate, grid) -> np.ndarray:
 
     Each point sums only the observations closer than ``_REACH``
     bandwidths, whatever else the grid holds, so the values are exactly 0
-    outside ``support_hull()``.  The points are walked in ascending order,
-    whatever the grid's order, so each chunk's window stays narrow.
+    outside ``support_hull()``, and NaN at a NaN point.  The points are
+    walked in ascending order, whatever the grid's order, so each chunk's
+    window stays narrow.
     """
     x = estimate.sample.observations  # sorted
     h = estimate.bandwidth

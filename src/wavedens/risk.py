@@ -2,24 +2,29 @@
 
 The realized error of an estimate against an analytic signal is a
 trapezoidal integral of the squared difference on a uniform grid, plus an
-analytic remainder for the squared-density mass outside the grid.  Sweeps
-run seeded replications: replication ``i`` of a study with master seed
-``s`` always draws from the generator seeded by ``(s, i)``, so results are
-bit-identical regardless of execution order, and every method inside a
-replication sees the identical sample.
+analytic remainder for the squared-density mass outside the grid.  A grid
+memoizes what depends on it alone (its points, each signal's pdf and
+remainder there, each synthesis cell's values there), and a replication
+scores all methods whose grids are equal on one grid object, so that work
+is done once per replication.  Sweeps run seeded replications:
+replication ``i`` of a study with master seed ``s`` always draws from the
+generator seeded by ``(s, i)``, so results are bit-identical regardless
+of execution order, and every method inside a replication sees the
+identical sample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernel as kernel_mod
 from .basis import basis_by_name
-from .estimator import EstimatorConfig, Mode, estimate, practical, practical_gamma
+from .estimator import (DensityEstimate, EstimatorConfig, Mode, estimate,
+                        practical, practical_gamma)
 from .signals import TestSignal, mixture_gd, mixture_hk
 
 __all__ = [
@@ -49,11 +54,18 @@ class GridCoverageError(ValueError):
 class GridSpec:
     """Uniform grid on [lo, hi]; hi is rounded up to a whole number of
     steps at construction.  Non-finite bounds or step, and a grid whose
-    point count or end overflows, raise ``ValueError``."""
+    point count or end overflows, raise ``ValueError``.
+
+    The grid memoizes what depends on it alone: its points, each signal's
+    pdf and tail term on them, and the synthesis cells that :func:`ise`
+    evaluates there.  The memo takes no part in comparing, hashing or
+    printing a grid, and dies with it."""
 
     lo: float
     hi: float
     step: float
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.lo, self.hi, self.step))):
@@ -80,7 +92,22 @@ class GridSpec:
         return int(round((self.hi - self.lo) / self.step)) + 1
 
     def points(self) -> np.ndarray:
-        return self.lo + np.arange(self.npoints) * self.step
+        """The grid's points, computed once; read-only."""
+        if "points" not in self._memo:
+            x = self.lo + np.arange(self.npoints) * self.step
+            x.setflags(write=False)
+            self._memo["points"] = x
+        return self._memo["points"]
+
+    def _signal_terms(self, signal: TestSignal) -> tuple:
+        """``(pdf on the points, tail_sq_upper outside [lo, hi])`` for
+        ``signal``, computed once per grid; the pdf is read-only."""
+        key = ("signal", signal)
+        if key not in self._memo:
+            f = signal.pdf(self.points())
+            f.setflags(write=False)
+            self._memo[key] = f, signal.tail_sq_upper(self.lo, self.hi)
+        return self._memo[key]
 
 
 def _required_interval(signal: TestSignal, estimates) -> tuple[float, float]:
@@ -114,6 +141,11 @@ def ise(est, signal: TestSignal, grid: GridSpec) -> float:
     ``support_hull()``.  The grid must cover the union of the signal's
     effective support and the estimate's hull; a violation raises
     :class:`GridCoverageError` naming the uncovered interval.
+
+    The signal's pdf and tail term come from the grid's memo, and a
+    :class:`DensityEstimate` reads and fills the memo's synthesis cells,
+    so estimates scored on one grid object share that work.  The value
+    does not depend on what the memo already holds.
     """
     req_lo, req_hi = _required_interval(signal, [est])
     tol = 1e-9
@@ -126,9 +158,16 @@ def ise(est, signal: TestSignal, grid: GridSpec) -> float:
         raise GridCoverageError(
             "grid does not cover required interval(s): " + ", ".join(missing))
     x = grid.points()
-    diff = signal.pdf(x) - est.evaluate(x)
-    value = float(np.trapezoid(diff * diff, dx=grid.step))
-    return value + signal.tail_sq_upper(grid.lo, grid.hi)
+    f, tail = grid._signal_terms(signal)
+    if isinstance(est, DensityEstimate):
+        fhat = est.evaluate(x, cells=grid._memo.setdefault("cells", {}))
+    elif isinstance(est, kernel_mod.KernelEstimate):
+        fhat = est.evaluate(x)
+    else:  # a duck-typed estimate's values are not ours to overwrite
+        fhat = np.array(est.evaluate(x), dtype=float)
+    np.subtract(f, fhat, out=fhat)  # (f - fhat)^2 in place
+    fhat *= fhat
+    return float(np.trapezoid(fhat, dx=grid.step)) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +252,11 @@ def replication_seed(master_seed: int, rep: int) -> np.random.SeedSequence:
 
 
 def _run_replication(signal, n, methods, master_seed, rep):
-    """One replication: one sample and its level scans, one ISE per method."""
+    """One replication: one sample and its level scans, one ISE per method.
+    Methods whose grids are equal score on one grid object, so they share
+    its memo."""
     sample = signal.sample(replication_seed(master_seed, rep), n)
+    grids = {}
     out = []
     for m in methods:
         if m.kind == "wavelet":
@@ -223,7 +265,8 @@ def _run_replication(signal, n, methods, master_seed, rep):
             est = kernel_mod.fit_kernel(sample)
         else:
             raise ValueError(f"unknown method kind {m.kind!r}")
-        out.append(ise(est, signal, default_grid(signal, [est])))
+        grid = default_grid(signal, [est])
+        out.append(ise(est, signal, grids.setdefault(grid, grid)))
     return out
 
 

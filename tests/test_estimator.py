@@ -16,6 +16,7 @@ from wavedens.basis import (
     TabulatedFunction,
     eval_decomposition,
     level_function,
+    reconstruction_support,
     sup_norm,
 )
 from wavedens.estimator import (
@@ -33,7 +34,7 @@ from wavedens.estimator import (
     variance_tilde,
 )
 from wavedens.kernel import fit_kernel
-from wavedens.signals import Bumps, Gauss, Uniform01
+from wavedens.signals import Bumps, Gauss, Uniform01, mixture_gd, mixture_hk
 
 
 def pairwise_variance(values):
@@ -597,6 +598,68 @@ class TestEvaluate:
             got = est.evaluate(probe)
             assert got.shape == expect.shape
             assert got.tobytes() == expect.tobytes()
+
+    @staticmethod
+    def _both_kinds(spline):
+        sample = mixture_gd(10).sample(4, 256)
+        return [estimate(sample, EstimatorConfig(basis=spline, mode=practical())),
+                fit_kernel(sample)]
+
+    def test_nan_point_gives_nan_in_any_order(self, spline, haar):
+        nan = math.nan
+        haar_est = _manual_estimate(haar, [(-1, 0, 1.0, 0.0)], positive=True)
+        for est in [*self._both_kinds(spline), haar_est]:
+            want = est.evaluate([0.0, 1.0, 10.5])
+            for probe in ([0.0, nan, 1.0, 10.5], [nan, 0.0, 1.0, 10.5],
+                          [10.5, 1.0, nan, 0.0, nan]):
+                got = est.evaluate(probe)
+                at = np.isnan(probe)
+                assert np.all(np.isnan(got[at]))
+                assert sorted(got[~at].tolist()) == sorted(want.tolist())
+            assert np.isnan(est.evaluate([nan])).all()
+            assert np.isnan(est.evaluate(nan))
+
+    def test_scalar_point_stays_0d(self, spline):
+        for est in self._both_kinds(spline):
+            got = est.evaluate(0.5)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert got == est.evaluate([0.5])[0]
+            assert est.evaluate([[0.5]]).shape == (1, 1)
+
+    def test_support_hull_matches_every_row(self, spline, haar):
+        # the per-level extremes give the per-row min and max bit for bit
+        fits = []
+        for signal in (Bumps(), Gauss(0.5, 0.25), mixture_gd(30), mixture_hk(2)):
+            sample = signal.sample(6, 512)
+            for basis in (spline, haar):
+                for mode in (practical(), practical_gamma(0.25),
+                             theoretical_gamma(0.5)):
+                    fits.append(estimate(sample,
+                                         EstimatorConfig(basis=basis, mode=mode)))
+            fits.append(oracle_estimate(
+                sample, signal, EstimatorConfig(basis=spline, mode=practical())))
+        for est in fits:
+            los, his = zip(*(reconstruction_support(est.basis, (r.j, r.k))
+                             for r in est.kept))
+            assert est.support_hull() == (min(los), max(his))
+        assert _manual_estimate(haar, [], positive=True).support_hull() is None
+
+    def test_cell_cache_changes_no_value(self, spline, haar, rng):
+        # rules sharing one cache on one grid give the values each gets
+        # alone, on an ascending and on a shuffled grid
+        sample = Bumps().sample(9, 1024)
+        x = np.linspace(-1.0, 2.0, 3001)
+        for basis in (spline, haar):
+            fits = [estimate(sample, EstimatorConfig(basis=basis, mode=mode))
+                    for mode in (practical(), practical_gamma(0.25),
+                                 theoretical_gamma(0.5))]
+            for grid in (x, x[rng.permutation(len(x))]):
+                cells = {}
+                for est in fits:
+                    got = est.evaluate(grid, cells=cells)
+                    assert got.tobytes() == est.evaluate(grid).tobytes()
+                assert len(cells) == len({(r.j, r.k) for est in fits
+                                          for r in est.kept})
 
 
 def _manual_estimate(basis, rows, positive):

@@ -2,9 +2,12 @@
 
 The committed files under ``tests/golden/`` pin the outputs of a small
 estimation run (integer day counts rescaled by 250, the real-data
-ingestion path) and a small benchmark sweep.  Pure dyadic outputs are
-compared byte for byte; Monte-Carlo outputs are compared as parsed values
-at 1e-12 so ulp-level library changes do not mask real regressions.
+ingestion path), a small benchmark sweep and a small ``calibrate`` sweep
+(bumps under the spline basis: the one golden that pins spline
+reconstruction and many rules scored on one grid).  Pure dyadic outputs
+are compared byte for byte; Monte-Carlo outputs are compared as parsed
+values at 1e-12 so ulp-level library changes do not mask real
+regressions.
 """
 
 import csv
@@ -37,6 +40,15 @@ def _run_bench(outdir):
     assert rc == 0
 
 
+def _run_calibrate(outdir):
+    rc = main([
+        "calibrate", "--signal", "bumps", "--basis", "spline", "--n", "256",
+        "--gammas", "0.25:2:0.25", "--reps", "2", "--seed", "3",
+        "-o", str(outdir),
+    ])
+    assert rc == 0
+
+
 def _csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -52,6 +64,19 @@ def _compare_csv_values(got_path, want_path):
                 assert_allclose(float(gcell), float(wcell), rtol=1e-12)
             except ValueError:
                 assert gcell == wcell
+
+
+def _compare_summary(got_path, want_path):
+    got = json.loads(got_path.read_text())
+    want = json.loads(want_path.read_text())
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key in w:
+            if isinstance(w[key], float):
+                assert_allclose(g[key], w[key], rtol=1e-12)
+            else:
+                assert g[key] == w[key]
 
 
 class TestEstimateGolden:
@@ -80,13 +105,30 @@ class TestBenchGolden:
                             GOLDEN / f"bench_replications_{method}_10.csv")
 
     def test_summary_values_match(self, bench_out):
-        got = json.loads((bench_out / "summary.json").read_text())
-        want = json.loads((GOLDEN / "bench_summary.json").read_text())
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.keys() == w.keys()
-            for key in w:
-                if isinstance(w[key], float):
-                    assert_allclose(g[key], w[key], rtol=1e-12)
-                else:
-                    assert g[key] == w[key]
+        _compare_summary(bench_out / "summary.json",
+                         GOLDEN / "bench_summary.json")
+
+
+@pytest.fixture(scope="module")
+def calibrate_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("calibrate")
+    _run_calibrate(out)
+    return out
+
+
+CALIBRATE_GOLDEN = GOLDEN / "calibrate"
+
+
+class TestCalibrateGolden:
+    def test_same_files(self, calibrate_out):
+        got = {p.name for p in calibrate_out.iterdir()} - {"manifest.json"}
+        assert got == {p.name for p in CALIBRATE_GOLDEN.iterdir()}
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in CALIBRATE_GOLDEN.glob("*.csv")))
+    def test_csv_values_match(self, calibrate_out, name):
+        _compare_csv_values(calibrate_out / name, CALIBRATE_GOLDEN / name)
+
+    def test_summary_values_match(self, calibrate_out):
+        _compare_summary(calibrate_out / "summary.json",
+                         CALIBRATE_GOLDEN / "summary.json")

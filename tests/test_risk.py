@@ -5,7 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wavedens import estimator, risk
-from wavedens.basis import basis_by_name, haar_basis, spline_basis
+from wavedens.basis import (
+    TabulatedFunction,
+    basis_by_name,
+    haar_basis,
+    spline_basis,
+)
 from wavedens.estimator import (
     DensityEstimate,
     EstimatorConfig,
@@ -13,7 +18,9 @@ from wavedens.estimator import (
     estimate,
     practical,
     practical_gamma,
+    theoretical_gamma,
 )
+from wavedens.kernel import fit_kernel
 from wavedens.risk import (
     GridCoverageError,
     GridSpec,
@@ -253,6 +260,70 @@ class TestSweeps:
         (report,) = tail_sweep([16.0], 64, resolve_methods(["H"]), 2, 3)
         assert report.parameter == 16.0
         assert all(v >= 0 for v in report.ise_values)
+
+
+class TestGridMemo:
+    """A replication scores every method on one grid object per distinct
+    grid, and that grid computes the pdf and each synthesis cell once."""
+
+    def test_pdf_once_and_each_cell_once_per_replication(self, spline,
+                                                         monkeypatch):
+        signal, n, master, reps = Bumps(), 1024, 5, 2
+        methods = TestSweeps._gamma_rules("spline")
+        sizes, cells, rows = [], set(), 0
+        for rep in range(reps):
+            sample = signal.sample(replication_seed(master, rep), n)
+            fits = [estimate(sample, m.config()) for m in methods]
+            (grid,) = {default_grid(signal, [est]) for est in fits}
+            sizes.append(grid.npoints)
+            cells |= {(rep, row.j, row.k) for est in fits for row in est.kept}
+            rows += sum(len(est.kept) for est in fits)
+        assert rows > 2 * len(cells)  # the rules keep many cells in common
+
+        pdf_sizes, evals = [], []
+        pdf, tab_eval = Bumps.pdf, TabulatedFunction.eval
+
+        def counted_pdf(self, x):
+            pdf_sizes.append(np.size(x))
+            return pdf(self, x)
+
+        def counted_eval(self, x):
+            evals.append(np.size(x))
+            return tab_eval(self, x)
+
+        monkeypatch.setattr(Bumps, "pdf", counted_pdf)
+        monkeypatch.setattr(TabulatedFunction, "eval", counted_eval)
+        mise_sweep(signal, n, methods, reps, master)
+        assert [s for s in pdf_sizes if s in sizes] == sizes
+        assert 0 < len(evals) <= len(cells)
+
+    @pytest.mark.parametrize("signal", [mixture_gd(10), mixture_hk(2), Bumps()],
+                             ids=["gd10", "hk2", "bumps"])
+    def test_sweep_ise_equals_lone_ise_on_fresh_grid(self, signal):
+        methods = [*resolve_methods(["S", "H", "S*", "K"]),
+                   MethodSpec("T", "wavelet", "spline", theoretical_gamma(0.5))]
+        n, master = 256, 8
+        reports = mise_sweep(signal, n, methods, 1, master)
+        sample = signal.sample(replication_seed(master, 0), n)
+        for m, report in zip(methods, reports):
+            est = (fit_kernel(sample) if m.kind == "kernel"
+                   else estimate(sample, m.config()))
+            lone = ise(est, signal, default_grid(signal, [est]))
+            assert report.ise_values[0] == lone, m.code
+
+    def test_used_grid_compares_hashes_and_prints_as_fresh(self):
+        signal = Gauss(0.5, 0.25)
+        est = estimate(signal.sample(2, 256), method_from_code("S").config())
+        used = default_grid(signal, [est])
+        ise(est, signal, used)
+        fresh = GridSpec(used.lo, used.hi, used.step)
+        assert used._memo and not fresh._memo
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) and str(used) == str(fresh)
+        assert {used: 1}[fresh] == 1
+        with pytest.raises(ValueError, match="read-only"):
+            used.points()[0] = 0.0
+        assert np.array_equal(used.points(), fresh.points())
 
 
 class TestReports:
