@@ -59,7 +59,6 @@ from .signals import (
     Uniform01,
     mixture_gd,
     mixture_hk,
-    signal_by_name,
 )
 
 __version__ = "0.1.0"

@@ -88,14 +88,14 @@ class StepFunction:
         return float(np.max(np.abs(self.values)))
 
     def eval(self, x):
-        """Exact lookup, elementwise."""
+        """Exact lookup, elementwise; NaN at a NaN point."""
         xv = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.breakpoints, xv, side="right") - 1
         idx = np.clip(idx, 0, len(self.values) - 1)
         return np.where(
             (xv >= self.breakpoints[0]) & (xv <= self.breakpoints[-1]),
             self.values[idx],
-            0.0,
+            np.where(np.isnan(xv), np.nan, 0.0),
         )
 
     def moment(self, m: int) -> float:

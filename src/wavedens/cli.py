@@ -35,6 +35,7 @@ from .estimator import (
 )
 from .risk import (
     DEFAULT_GRID_STEP,
+    METHODS,
     GridSpec,
     MethodSpec,
     mise_sweep,
@@ -42,7 +43,7 @@ from .risk import (
     support_sweep,
     tail_sweep,
 )
-from .signals import signal_by_name
+from .signals import Bumps, Gauss, Uniform01, mixture_gd, mixture_hk
 
 MANIFEST_FORMAT = "wavedens-manifest-v1"
 # rows per joined string when writing a CSV
@@ -133,12 +134,6 @@ def _mode_from_params(params) -> Mode:
                 c_prime=params["c_prime"])
 
 
-def _signal_from_params(params):
-    return signal_by_name(params["signal"], mu=params["mu"],
-                          sigma=params["sigma"], d=params["d"],
-                          df=params["df"])
-
-
 def _safe(code: str) -> str:
     return code.replace("*", "star")
 
@@ -203,7 +198,7 @@ def _write_reports(outdir: Path, reports, names) -> list:
 
 
 def run_calibrate(params: dict, outdir: Path) -> list:
-    signal = _signal_from_params(params)
+    signal = _SIGNALS[params["signal"]](params)
     names = _distinct(
         [f"replications_gamma_{g:g}.csv" for g in params["gammas"]],
         [f"gamma {g!r}" for g in params["gammas"]])
@@ -239,7 +234,7 @@ def run_bench(params: dict, outdir: Path) -> list:
 
 
 def run_sample(params: dict, outdir: Path) -> list:
-    signal = _signal_from_params(params)
+    signal = _SIGNALS[params["signal"]](params)
     sample = signal.sample(params["seed"], params["n"])
     _write_csv(outdir / "sample.csv", "", sample.observations)
     return ["sample.csv"]
@@ -353,9 +348,18 @@ def _method_list(text: str) -> list:
 _LIST_TYPES = {_gamma_list: float, _float_list: float, _method_list: str}
 
 
+# each --signal choice and its signal, built from the parsed flags
+_SIGNALS = {
+    "uniform": lambda p: Uniform01(),
+    "gauss": lambda p: Gauss(p["mu"], p["sigma"]),
+    "gd": lambda p: mixture_gd(p["d"]),
+    "hk": lambda p: mixture_hk(p["df"]),
+    "bumps": lambda p: Bumps(),
+}
+
+
 def _add_signal_args(p: argparse.ArgumentParser):
-    p.add_argument("--signal", required=True,
-                   choices=["uniform", "gauss", "gd", "hk", "bumps"])
+    p.add_argument("--signal", required=True, choices=list(_SIGNALS))
     p.add_argument("--mu", type=float, default=0.5,
                    help="gauss mean (default 0.5)")
     p.add_argument("--sigma", type=float, default=0.25,
@@ -405,8 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", required=True, choices=["support", "tail"])
     p.add_argument("--values", type=_float_list, required=True,
                    help="comma list, e.g. 10,30,50,70")
-    p.add_argument("--methods", type=_method_list, default="S,H,S*,K",
-                   help="comma list of method codes (S, H, S*, K)")
+    p.add_argument("--methods", type=_method_list, default=",".join(METHODS),
+                   help=f"comma list of method codes ({', '.join(METHODS)})")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)

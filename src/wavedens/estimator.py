@@ -268,8 +268,9 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
     frac = t - base
     run, starts = _runs(base)  # x is sorted, so base is too
     run_base = base[starts]
-    all_runs = np.arange(len(starts))
 
+    # one slot per offset: the position of each inside observation among
+    # the offset's keys (one per run it meets), the key count, the terms
     slots, keys = [], []
     # Integer offsets c with u = frac - c possibly inside [a, b]; frac in
     # [0, 1), so c ranges over ceil(-b) .. floor(1 - a).
@@ -277,16 +278,17 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
         u = frac - c
         inside = (u >= a) & (u <= b)
         if inside.all():
-            uu, obs_run, runs = u, run, all_runs
+            uu, pos, bases = u, run, run_base
         elif inside.any():
             uu, obs_run = u[inside], run[inside]  # obs_run ascends
-            runs = obs_run[_runs(obs_run)[1]]
+            pos, heads = _runs(obs_run)
+            bases = run_base[obs_run[heads]]
         else:
             continue
         piece = np.searchsorted(bp, uu, side="right") - 1
         piece = np.clip(piece, 0, len(vals) - 1)
-        slots.append((obs_run, runs, amp * vals[piece]))
-        keys.append(run_base[runs] + c)
+        slots.append((pos, len(bases), amp * vals[piece]))
+        keys.append(bases + c)
     # b - a >= 1: every observation lands in some translate.  Each offset's
     # cells ascend; the stable sort merges those runs into distinct cells.
     keys = np.concatenate(keys).astype(np.int64)
@@ -299,12 +301,10 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
     # add.at adds in index order, offset after offset: each cell sums its
     # terms in the same order whatever the merge did
     s1, s2 = np.zeros(len(k_out)), np.zeros(len(k_out))
-    cell_of_run = np.empty(len(run_base), dtype=np.int64)
     at = 0
-    for obs_run, runs, v in slots:
-        cell_of_run[runs] = cell[at:at + len(runs)]
-        at += len(runs)
-        obs_cell = cell_of_run[obs_run]
+    for pos, size, v in slots:
+        obs_cell = cell[at:at + size][pos]
+        at += size
         np.add.at(s1, obs_cell, v)
         np.add.at(s2, obs_cell, v * v)
     return k_out, s1, s2

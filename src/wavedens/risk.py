@@ -32,6 +32,7 @@ __all__ = [
     "GridCoverageError",
     "RiskReport",
     "MethodSpec",
+    "METHODS",
     "method_from_code",
     "resolve_methods",
     "default_grid",
@@ -190,21 +191,22 @@ class MethodSpec:
         return EstimatorConfig(basis=basis_by_name(self.basis_name), mode=self.mode)
 
 
-_METHOD_BUILDERS = {
-    "S": lambda: MethodSpec("S", "wavelet", "spline", practical()),
-    "H": lambda: MethodSpec("H", "wavelet", "haar", practical()),
-    "S*": lambda: MethodSpec("S*", "wavelet", "spline", practical_gamma(0.5)),
-    "K": lambda: MethodSpec("K", "kernel"),
+# one frozen spec per method code, shared by every lookup, in CLI order
+METHODS = {
+    "S": MethodSpec("S", "wavelet", "spline", practical()),
+    "H": MethodSpec("H", "wavelet", "haar", practical()),
+    "S*": MethodSpec("S*", "wavelet", "spline", practical_gamma(0.5)),
+    "K": MethodSpec("K", "kernel"),
 }
 
 
 def method_from_code(code: str) -> MethodSpec:
     try:
-        return _METHOD_BUILDERS[code]()
+        return METHODS[code]
     except KeyError:
         raise ValueError(
             f"unknown method {code!r}; valid methods: "
-            + ", ".join(sorted(_METHOD_BUILDERS))) from None
+            + ", ".join(sorted(METHODS))) from None
 
 
 def resolve_methods(codes: Sequence[str]) -> list[MethodSpec]:

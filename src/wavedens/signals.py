@@ -23,7 +23,6 @@ __all__ = [
     "Bumps",
     "mixture_gd",
     "mixture_hk",
-    "signal_by_name",
 ]
 
 _TAIL_MASS = 1e-9
@@ -265,21 +264,3 @@ class Bumps(TestSignal):
             out[have:have + take] = accepted[:take]
             have += take
         return out
-
-
-def signal_by_name(name: str, **params) -> TestSignal:
-    """CLI-facing constructor: uniform | gauss | gd | hk | bumps."""
-    name = name.lower()
-    if name == "uniform":
-        return Uniform01()
-    if name == "gauss":
-        return Gauss(params.get("mu", 0.5), params.get("sigma", 0.25))
-    if name == "gd":
-        return mixture_gd(params.get("d", 10.0))
-    if name == "hk":
-        return mixture_hk(params.get("df", 2.0))
-    if name == "bumps":
-        return Bumps()
-    raise ValueError(
-        f"unknown signal {name!r}; expected uniform, gauss, gd, hk or bumps")
-

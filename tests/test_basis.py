@@ -38,6 +38,11 @@ class TestStepFunction:
         assert f.eval(1.0) == -1.0
         assert f.eval(1.0 + 1e-12) == 0.0
         assert f.eval(-1e-12) == 0.0
+        # +0.0 at every point outside, infinite ones too; NaN at NaN
+        got = f.eval([-np.inf, -2.0, np.nan, 0.25, np.inf])
+        assert np.array_equal(got, [0.0, 0.0, np.nan, 1.0, 0.0], equal_nan=True)
+        assert not np.signbit(got[[0, 1, 4]]).any()
+        assert np.isnan(f.eval(np.nan))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -151,12 +156,12 @@ class TestSplineConstruction:
             "23c50cc1131c75381a43c9d81c948c9e60d545aa4b6a8f51f200bb4bde5cbbe6")
 
     def test_nan_point(self, spline, haar):
-        # the tabulated side interpolates NaN to NaN; a step function
-        # lookup has no piece holding NaN and gives 0
+        # the tabulated side interpolates NaN to NaN, and a step function
+        # gives NaN there too
         for j in (-1, 0):
             assert np.isnan(eval_reconstruction(spline, (j, 0), np.nan))
-            assert eval_decomposition(spline, (j, 0), np.nan) == 0.0
-            assert eval_reconstruction(haar, (j, 0), np.nan) == 0.0
+            assert np.isnan(eval_decomposition(spline, (j, 0), np.nan))
+            assert np.isnan(eval_reconstruction(haar, (j, 0), np.nan))
 
     def test_outside_support_is_zero(self, spline):
         lo, hi = reconstruction_support(spline, (0, 0))

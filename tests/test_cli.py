@@ -16,7 +16,7 @@ from wavedens.risk import (
     resolve_methods,
     support_sweep,
 )
-from wavedens.signals import Bumps, Gauss, Uniform01
+from wavedens.signals import Bumps, Gauss, Uniform01, mixture_gd, mixture_hk
 
 
 @pytest.fixture
@@ -490,6 +490,14 @@ class TestBenchCommand:
         assert rc == 0
         assert (out / "replications_Sstar_10.csv").exists()
 
+    def test_methods_default_and_help(self, capsys):
+        args = cli._build_parser().parse_args(["bench", "--sweep", "tail",
+                                               "--values", "2"])
+        assert args.methods == ["S", "H", "S*", "K"]
+        assert main(["bench", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())  # unwrapped
+        assert "method codes (S, H, S*, K)" in help_text
+
     def test_unknown_method_lists_valid(self, tmp_path, capsys):
         rc = main(["bench", "--sweep", "support", "--values", "10",
                    "--methods", "Z", "--n", "64", "--reps", "1",
@@ -585,6 +593,32 @@ class TestSampleCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+class TestSignalRegistry:
+    """Each ``--signal`` choice builds its library signal from the flags."""
+
+    FLAGS = ["--mu", "0", "--sigma", "1", "--d", "30", "--df", "4",
+             "--seed", "2", "--n", "50"]
+
+    def test_names(self, tmp_path):
+        signals = {"uniform": Uniform01(), "gauss": Gauss(0.0, 1.0),
+                   "gd": mixture_gd(30.0), "hk": mixture_hk(4.0),
+                   "bumps": Bumps()}
+        for name, signal in signals.items():
+            out = tmp_path / name
+            assert main(["sample", "--signal", name, *self.FLAGS,
+                         "-o", str(out)]) == 0
+            want = "".join(f"{float(v)!r}\n"
+                           for v in signal.sample(2, 50).observations)
+            assert (out / "sample.csv").read_text() == want, name
+
+    def test_unknown(self, tmp_path, capsys):
+        for name in ("cauchy", "GD"):
+            rc = main(["sample", "--signal", name, "--n", "10",
+                       "-o", str(tmp_path / "o")])
+            assert rc == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestManifestRerun:

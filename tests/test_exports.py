@@ -1,7 +1,8 @@
 """Every name a module exports exists in it, so a deleted function cannot
 linger as an export.  Every export is also read by the library, the
-benchmark or an acceptance criterion, so none lives for its tests alone.
-Records that hold arrays compare by identity."""
+benchmark or an acceptance criterion, and every private module-level name
+by the library, so none lives for its tests alone.  Records that hold
+arrays compare by identity."""
 
 import ast
 import dataclasses
@@ -15,6 +16,7 @@ import wavedens
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(wavedens.__path__))
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(wavedens.__file__).parent
 
 
 def test_modules_found():
@@ -34,23 +36,48 @@ def _used_names(paths) -> set:
     used = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return used
 
 
+def _library_files() -> list:
+    return [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+
+
 def test_every_export_is_reached():
-    package = Path(wavedens.__file__).parent
     reached = _used_names([
-        *(p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"),
+        *_library_files(),
         *sorted((ROOT / "perfbench").glob("*.py")),
         ROOT / "tests" / "test_acceptance.py",
     ])
     exported = {name for m in MODULES for name in getattr(
         importlib.import_module(f"wavedens.{m}"), "__all__", [])}
     assert sorted(exported - reached) == []
+
+
+def _private_names(path) -> set:
+    """The module-level functions, classes and assigned names of a file
+    that start with one underscore."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_name_is_read_by_the_library():
+    files = sorted(PACKAGE.glob("*.py"))
+    private = {f"{p.stem}.{n}" for p in files for n in _private_names(p)}
+    assert len(private) > 40  # the walk found the modules' helpers
+    reached = _used_names(files)
+    assert sorted(n for n in private if n.split(".")[1] not in reached) == []
 
 
 def test_records_holding_arrays_compare_by_identity():

@@ -22,6 +22,7 @@ from wavedens.estimator import (
 )
 from wavedens.kernel import fit_kernel
 from wavedens.risk import (
+    METHODS,
     GridCoverageError,
     GridSpec,
     MethodSpec,
@@ -147,8 +148,16 @@ class TestMethods:
         assert star.mode.gamma == 0.5
         assert method_from_code("K").kind == "kernel"
 
+    def test_table_holds_each_spec_once(self):
+        assert list(METHODS) == ["S", "H", "S*", "K"]
+        assert method_from_code("S*") == MethodSpec(
+            "S*", "wavelet", "spline", practical_gamma(0.5))
+        assert method_from_code("K") == MethodSpec("K", "kernel")
+        assert all(method_from_code(c) is spec for c, spec in METHODS.items())
+
     def test_unknown_code_lists_valid(self):
-        with pytest.raises(ValueError, match="valid methods"):
+        with pytest.raises(ValueError,
+                           match=r"'Q'; valid methods: H, K, S, S\*$"):
             resolve_methods(["S", "Q"])
 
     def test_one_spline_instance(self):

@@ -16,7 +16,6 @@ from wavedens.signals import (
     Uniform01,
     mixture_gd,
     mixture_hk,
-    signal_by_name,
 )
 
 ALL_SIGNALS = [
@@ -236,15 +235,3 @@ class TestTrueCoefficients:
             sigma = math.sqrt(sigma_sq)
             assert abs(beta_hat - beta) <= 5.0 * sigma / math.sqrt(n)
 
-
-class TestSignalRegistry:
-    def test_names(self):
-        assert signal_by_name("uniform").name == "uniform"
-        assert signal_by_name("gauss", mu=0.0, sigma=1.0).name == "gauss(0,1)"
-        assert signal_by_name("gd", d=30).name == "gd(30)"
-        assert signal_by_name("hk", df=4).name == "hk(4)"
-        assert signal_by_name("bumps").name == "bumps"
-
-    def test_unknown(self):
-        with pytest.raises(ValueError, match="unknown signal"):
-            signal_by_name("cauchy")
