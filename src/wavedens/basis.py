@@ -26,6 +26,7 @@ __all__ = [
     "BiorthogonalBasis",
     "CoefficientIndex",
     "CascadeError",
+    "BASES",
     "haar_basis",
     "spline_basis",
     "eval_decomposition",
@@ -87,14 +88,18 @@ class StepFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
+    def pieces(self, x):
+        """The value of the piece holding each point, elementwise; a point
+        outside the support gets its nearer end piece's value."""
+        return self.values[np.searchsorted(self.breakpoints[1:-1], x,
+                                           side="right")]
+
     def eval(self, x):
         """Exact lookup, elementwise; NaN at a NaN point."""
         xv = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breakpoints, xv, side="right") - 1
-        idx = np.clip(idx, 0, len(self.values) - 1)
         return np.where(
             (xv >= self.breakpoints[0]) & (xv <= self.breakpoints[-1]),
-            self.values[idx],
+            self.pieces(xv),
             np.where(np.isnan(xv), np.nan, 0.0),
         )
 
@@ -264,12 +269,15 @@ def spline_basis() -> BiorthogonalBasis:
                              phi_tilde=phi_tilde, psi_tilde=psi_tilde, r=2.0)
 
 
+# each basis's name and the function that builds it
+BASES = {"haar": haar_basis, "spline": spline_basis}
+
+
 def basis_by_name(name: str) -> BiorthogonalBasis:
-    if name == "haar":
-        return haar_basis()
-    if name == "spline":
-        return spline_basis()
-    raise ValueError(f"unknown basis {name!r}; expected 'haar' or 'spline'")
+    if name not in BASES:
+        raise ValueError(f"unknown basis {name!r}; expected "
+                         + " or ".join(map(repr, BASES)))
+    return BASES[name]()
 
 
 def level_function(basis: BiorthogonalBasis, j: int, *,

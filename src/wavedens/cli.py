@@ -25,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import basis_by_name
+from .basis import BASES, basis_by_name
 from .estimator import (
+    MODE_KINDS,
     EstimatorConfig,
     Mode,
     Sample,
@@ -215,10 +216,7 @@ def run_calibrate(params: dict, outdir: Path) -> list:
 
 
 def run_bench(params: dict, outdir: Path) -> list:
-    try:
-        methods = resolve_methods(params["methods"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    methods = resolve_methods(params["methods"])
     # the sweeps report value-major, one report per (value, method)
     cells = [(m.code, float(v)) for v in params["values"] for m in methods]
     names = _distinct([f"replications_{_safe(code)}_{v:g}.csv"
@@ -271,8 +269,8 @@ def _check_params(command: str, params: dict) -> None:
     """Raise :class:`CliError` unless each flag of the command has a param
     holding a value the flag could have produced: one of its choices, a
     value of its type (or null, for an optional flag without a default),
-    or for a list flag a list of its element type.  Keys that name no
-    flag, such as an old ``workers``, pass unchecked."""
+    or for a list flag a non-empty list of its element type.  Keys that
+    name no flag, such as an old ``workers``, pass unchecked."""
     for action in _flag_actions(command):
         key = action.dest
         if key not in params:
@@ -280,8 +278,9 @@ def _check_params(command: str, params: dict) -> None:
         value = params[key]
         if action.type in _LIST_TYPES:
             kind = _LIST_TYPES[action.type]
-            ok = isinstance(value, list) and all(_is(v, kind) for v in value)
-            want = f"a list of {kind.__name__}"
+            ok = (isinstance(value, list) and len(value) > 0
+                  and all(_is(v, kind) for v in value))
+            want = f"a list of {kind.__name__} with at least one value"
         elif action.choices is not None:
             ok = value in action.choices
             want = "one of " + ", ".join(action.choices)
@@ -307,14 +306,17 @@ def _is(value, kind) -> bool:
 # argument parsing
 
 def _list_flag(parse):
-    """``parse`` as an argparse ``type=``: its ``ValueError`` becomes a
-    usage error that names the flag and keeps the message."""
+    """``parse`` as an argparse ``type=``: its ``ValueError``, or an empty
+    list, becomes a usage error that names the flag and keeps the message."""
     @functools.wraps(parse)
     def convert(text: str) -> list:
         try:
-            return parse(text)
+            values = parse(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"no values in {text!r}")
+        return values
     return convert
 
 
@@ -379,9 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate a density from a CSV sample")
     p.add_argument("--input", required=True, help="one-column CSV of observations")
-    p.add_argument("--basis", default="spline", choices=["haar", "spline"])
-    p.add_argument("--mode", default="practical",
-                   choices=["practical", "practical-gamma", "theoretical-gamma"])
+    p.add_argument("--basis", default="spline", choices=list(BASES))
+    p.add_argument("--mode", default="practical", choices=MODE_KINDS)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--c-prime", type=float, default=0.0, dest="c_prime")
@@ -397,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate",
                        help="threshold-constant sweep on a test signal")
     _add_signal_args(p)
-    p.add_argument("--basis", default="haar", choices=["haar", "spline"])
+    p.add_argument("--basis", default="haar", choices=list(BASES))
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--gammas", type=_gamma_list, default="0.25:2:0.25",
                    help="start:stop:step range or comma list")

@@ -42,6 +42,7 @@ from .basis import (
 __all__ = [
     "Sample",
     "Mode",
+    "MODE_KINDS",
     "practical",
     "practical_gamma",
     "theoretical_gamma",
@@ -90,7 +91,7 @@ class Sample:
         return float(self.observations[0]), float(self.observations[-1])
 
 
-_MODE_KINDS = ("practical", "practical-gamma", "theoretical-gamma")
+MODE_KINDS = ("practical", "practical-gamma", "theoretical-gamma")
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class Mode:
     c_prime: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _MODE_KINDS:
+        if self.kind not in MODE_KINDS:
             raise ValueError(f"unknown mode kind {self.kind!r}")
         for name, value in (("gamma", self.gamma), ("c", self.c),
                             ("c'", self.c_prime)):
@@ -146,11 +147,12 @@ class EstimatorConfig:
     j0_override: Optional[int] = None
 
     def j0(self, n: int) -> int:
-        """Coarse-to-fine level cap: floor(log2(n^c (ln n)^c')) in
-        theoretical mode, floor(log2 n) otherwise, unless overridden."""
+        """Coarse-to-fine level cap floor(log2(n^c (ln n)^c')), unless
+        overridden; the practical rules have c = 1 and c' = 0, which makes
+        it floor(log2 n)."""
         if self.j0_override is not None:
             j0 = int(self.j0_override)
-        elif self.mode.kind == "theoretical-gamma":
+        else:
             c, c_prime = self.mode.c, self.mode.c_prime
             try:
                 cap = (n ** c) * math.log(n) ** c_prime
@@ -159,8 +161,6 @@ class EstimatorConfig:
             except OverflowError:
                 raise ValueError(f"n^c (ln n)^c' overflows for n = {n}, "
                                  f"c = {c!r}, c' = {c_prime!r}") from None
-        else:
-            j0 = int(math.floor(math.log2(n)))
         if j0 < -1:
             raise ValueError(f"level cap j0 = {j0} is below -1")
         return j0
@@ -261,8 +261,6 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
     """
     step_fn, amp, scale = level_function(basis, j)
     a, b = step_fn.support
-    bp = step_fn.breakpoints
-    vals = step_fn.values
     t = scale * x
     base = np.floor(t)
     frac = t - base
@@ -285,9 +283,7 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
             bases = run_base[obs_run[heads]]
         else:
             continue
-        piece = np.searchsorted(bp, uu, side="right") - 1
-        piece = np.clip(piece, 0, len(vals) - 1)
-        slots.append((pos, len(bases), amp * vals[piece]))
+        slots.append((pos, len(bases), amp * step_fn.pieces(uu)))
         keys.append(bases + c)
     # b - a >= 1: every observation lands in some translate.  Each offset's
     # cells ascend; the stable sort merges those runs into distinct cells.

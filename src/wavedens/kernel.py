@@ -17,10 +17,11 @@ the kernel's peak.
 
 The blocks of the score and the chunks of the evaluation are independent,
 so they run on up to min(2, usable CPUs) threads: the caller's and one
-started for the call and joined before it returns, both in the caller's
-numpy error state (a context variable from numpy 2 on).  The block sums
-are added in block order and each chunk writes only its own values, so
-scores, bandwidths and densities do not depend on the thread count.
+of a thread pool created for the call and shut down before it returns,
+both in the caller's numpy error state (a context variable from numpy 2
+on).  The block sums are added in block order and each chunk writes only
+its own values, so scores, bandwidths and densities do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,33 +71,24 @@ _WORKERS = min(2, _usable_cpus())
 def _in_parallel(fn, items) -> list:
     """``[fn(i) for i in items]``, in item order.  Worker ``w`` of ``W``
     takes items ``w, w + W, ...``; the caller is worker 0, and the others
-    are threads started here in copies of its context, so the caller's
-    ``np.errstate`` holds there too.  An error in a started thread is
-    raised here once every thread has finished."""
+    run on a pool created here, each in a copy of the caller's context, so
+    the caller's ``np.errstate`` holds there too.  The pool is shut down
+    before this returns, and an error in a worker is raised here."""
     items = list(items)
     w = min(_WORKERS, len(items))
     if w < 2:
         return [fn(i) for i in items]
-    out = [None] * len(items)
-    errors = []
 
     def share(k):
-        try:
-            out[k::w] = [fn(i) for i in items[k::w]]
-        except BaseException as exc:  # raised in the caller below
-            errors.append(exc)
+        return [fn(i) for i in items[k::w]]
 
-    threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(share, k)) for k in range(1, w)]
-    for t in threads:
-        t.start()
-    try:
-        out[0::w] = [fn(i) for i in items[0::w]]
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
+    out = [None] * len(items)
+    with ThreadPoolExecutor(w - 1) as pool:
+        others = [pool.submit(contextvars.copy_context().run, share, k)
+                  for k in range(1, w)]
+        out[0::w] = share(0)
+        for k, done in enumerate(others, start=1):
+            out[k::w] = done.result()
     return out
 
 

@@ -162,9 +162,7 @@ def ise(est, signal: TestSignal, grid: GridSpec) -> float:
     f, tail = grid._signal_terms(signal)
     if isinstance(est, DensityEstimate):
         fhat = est.evaluate(x, cells=grid._memo.setdefault("cells", {}))
-    elif isinstance(est, kernel_mod.KernelEstimate):
-        fhat = est.evaluate(x)
-    else:  # a duck-typed estimate's values are not ours to overwrite
+    else:  # another estimate's values are not ours to overwrite
         fhat = np.array(est.evaluate(x), dtype=float)
     np.subtract(f, fhat, out=fhat)  # (f - fhat)^2 in place
     fhat *= fhat
@@ -218,31 +216,35 @@ def resolve_methods(codes: Sequence[str]) -> list[MethodSpec]:
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Per-replication errors and aggregates for one (signal, method,
-    parameter) cell; aggregates are recomputable from ``ise_values``."""
+    """Per-replication errors for one (signal, method, parameter) cell and
+    the aggregates computed from them."""
 
     signal_id: str
     method_id: str
     parameter: Optional[float]
     n: int
-    replications: int
     master_seed: int
     ise_values: tuple
-    mean: float
-    median: float
-    q25: float
-    q75: float
 
-    @classmethod
-    def from_values(cls, signal_id, method_id, parameter, n, master_seed,
-                    values) -> "RiskReport":
-        arr = np.asarray(values, dtype=float)
-        return cls(signal_id=signal_id, method_id=method_id,
-                   parameter=parameter, n=n, replications=len(arr),
-                   master_seed=master_seed, ise_values=tuple(float(v) for v in arr),
-                   mean=float(np.mean(arr)), median=float(np.median(arr)),
-                   q25=float(np.quantile(arr, 0.25)),
-                   q75=float(np.quantile(arr, 0.75)))
+    @property
+    def replications(self) -> int:
+        return len(self.ise_values)
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.ise_values))
+
+    @property
+    def median(self) -> float:
+        return float(np.median(self.ise_values))
+
+    @property
+    def q25(self) -> float:
+        return float(np.quantile(self.ise_values, 0.25))
+
+    @property
+    def q75(self) -> float:
+        return float(np.quantile(self.ise_values, 0.75))
 
 
 def replication_seed(master_seed: int, rep: int) -> np.random.SeedSequence:
@@ -282,15 +284,12 @@ def mise_sweep(signal: TestSignal, n: int, methods: Sequence[MethodSpec],
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    table = np.asarray([
-        _run_replication(signal, n, methods, master_seed, rep)
-        for rep in range(replications)
-    ], dtype=float)  # (replications, methods)
-    return [
-        RiskReport.from_values(signal.name, m.code, m.parameter, n,
-                               master_seed, table[:, i])
-        for i, m in enumerate(methods)
-    ]
+    if not methods:
+        raise ValueError("need at least one method")
+    rows = [_run_replication(signal, n, methods, master_seed, rep)
+            for rep in range(replications)]
+    return [RiskReport(signal.name, m.code, m.parameter, n, master_seed, values)
+            for m, values in zip(methods, zip(*rows))]
 
 
 def _parameter_sweep(values, signal_at, n, methods, replications,

@@ -11,6 +11,7 @@ from wavedens.basis import (
     StepFunction,
     TabulatedFunction,
     _cascade_samples,
+    basis_by_name,
     eval_decomposition,
     eval_reconstruction,
     reconstruction_support,
@@ -55,6 +56,14 @@ class TestStepFunction:
         # 3 * x^2/2 on [0,2] -> 6; 3 * x^3/3 on [0,2] -> 8
         assert f.moment(1) == 6.0
         assert f.moment(2) == 8.0
+
+
+class TestBasisByName:
+    def test_unknown_name_lists_the_bases(self):
+        with pytest.raises(ValueError) as info:
+            basis_by_name("wavelet")
+        assert str(info.value) == ("unknown basis 'wavelet'; "
+                                   "expected 'haar' or 'spline'")
 
 
 class TestHaar:

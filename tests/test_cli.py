@@ -1,14 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wavedens import cli
+from wavedens.basis import BASES
 from wavedens.cli import main
-from wavedens.estimator import practical_gamma
+from wavedens.estimator import MODE_KINDS, practical_gamma
 from wavedens.risk import (
     MethodSpec,
     RiskReport,
@@ -369,7 +372,7 @@ class TestReportFiles:
             **{name: text.encode("ascii") for name, text in want.items()}}
 
     def test_writers_deterministic(self, tmp_path, rng):
-        r = RiskReport.from_values("sig", "S*", 2.0, 99, 7, rng.random(10))
+        r = RiskReport("sig", "S*", 2.0, 99, 7, tuple(rng.random(10).tolist()))
         trees = []
         for out in (tmp_path / "a", tmp_path / "b"):
             out.mkdir()
@@ -409,6 +412,9 @@ class TestParams:
         ("calibrate", "--gammas", "0.5,y", "could not convert string to float"),
         ("calibrate", "--gammas", "0.5:1", "start:stop:step"),
         ("calibrate", "--gammas", "1:0.5:0.5", "bad gamma range"),
+        ("bench", "--values", ",", "no values in ','"),
+        ("bench", "--methods", ",", "no values in ','"),
+        ("calibrate", "--gammas", ",", "no values in ','"),
     ])
     def test_bad_list_flag_is_a_usage_error(self, command, flag, text,
                                             message, tmp_path, capsys):
@@ -418,6 +424,24 @@ class TestParams:
         err = capsys.readouterr().err
         assert f"argument {flag}: " in err and message in err
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_choice_lists_come_from_the_library(self):
+        # a literal list of basis names or rule kinds would be a second
+        # copy of basis.BASES or estimator.MODE_KINDS; --sweep names the
+        # cli's own sweep functions
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        literal = [node.args[0].value for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   for kw in node.keywords
+                   if kw.arg == "choices"
+                   and isinstance(kw.value, (ast.List, ast.Tuple))]
+        assert literal == ["--sweep"]
+        for command, dest, table in (("estimate", "basis", BASES),
+                                     ("calibrate", "basis", BASES),
+                                     ("estimate", "mode", MODE_KINDS)):
+            (action,) = [a for a in cli._flag_actions(command)
+                         if a.dest == dest]
+            assert list(action.choices) == list(table)
 
 
 class TestCalibrateCommand:
@@ -660,7 +684,13 @@ class TestManifestRerun:
             "sweep": "support", "values": 10, "methods": ["H"], "n": 64,
             "reps": 1, "seed": 0}},
          "param 'values' must be a list of float"),
-    ], ids=["list", "no-params", "no-mu", "str-n", "scalar-values"])
+        (lambda doc: {**doc, "command": "bench", "params": {
+            "sweep": "support", "values": [], "methods": ["H"], "n": 64,
+            "reps": 1, "seed": 0}},
+         "param 'values' must be a list of float with at least one value, "
+         "got []"),
+    ], ids=["list", "no-params", "no-mu", "str-n", "scalar-values",
+            "empty-values"])
     def test_malformed_manifest(self, damage, message, tmp_path, capsys):
         out = tmp_path / "orig"
         assert main(["sample", "--signal", "gauss", "--n", "5",
@@ -669,6 +699,21 @@ class TestManifestRerun:
         path.write_text(json.dumps(damage(json.loads(path.read_text()))))
         assert main(["rerun", str(path), "-o", str(tmp_path / "redo")]) == 2
         assert message in capsys.readouterr().err
+
+    def test_unknown_method_in_manifest(self, tmp_path, capsys):
+        # a string the --methods flag would refuse passes the manifest's
+        # type check; the sweep's lookup refuses it instead
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "format": cli.MANIFEST_FORMAT, "command": "bench", "params": {
+                "sweep": "support", "values": [10.0], "methods": ["H", "Z"],
+                "n": 64, "reps": 1, "seed": 0}}))
+        out = tmp_path / "redo"
+        assert main(["rerun", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "wavedens: error: unknown method 'Z'; valid methods: "
+            "H, K, S, S*\n")
+        assert list(out.iterdir()) == []
 
     def test_outdir_env_var(self, data_csv, tmp_path, monkeypatch):
         target = tmp_path / "from-env"

@@ -267,6 +267,14 @@ class TestJ0:
         n = 1024
         assert cfg2.j0(n) == math.floor(math.log2(n / math.log(n)))
 
+    def test_one_formula_for_every_rule(self, haar):
+        # c = 1 and c' = 0 make n^c (ln n)^c' exactly n, and its log2
+        # floors to the bit length of n less one
+        rules = [practical(), practical_gamma(0.5), theoretical_gamma(2.0)]
+        configs = [EstimatorConfig(basis=haar, mode=mode) for mode in rules]
+        for n in range(2, 2 ** 16 + 1):
+            assert [cfg.j0(n) for cfg in configs] == [n.bit_length() - 1] * 3
+
     def test_override(self, haar):
         cfg = EstimatorConfig(basis=haar, mode=practical(), j0_override=7)
         assert cfg.j0(1024) == 7

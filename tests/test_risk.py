@@ -1,5 +1,7 @@
 """Tests for the ISE computation and the Monte-Carlo sweeps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -259,6 +261,10 @@ class TestSweeps:
         with pytest.raises(ValueError):
             mise_sweep(Uniform01(), 16, [method_from_code("H")], 0, 1)
 
+    def test_methods_validated(self):
+        with pytest.raises(ValueError, match="need at least one method"):
+            mise_sweep(Uniform01(), 16, [], 2, 1)
+
     def test_support_sweep_shapes_and_baseline(self):
         reports = support_sweep([10.0], 64, resolve_methods(["H", "K"]), 2, 3)
         assert [r.method_id for r in reports] == ["H", "K"]
@@ -338,9 +344,13 @@ class TestGridMemo:
 class TestReports:
     def test_aggregates_recomputable(self, rng):
         values = rng.random(40)
-        r = RiskReport.from_values("sig", "M", 1.0, 99, 7, values)
+        r = RiskReport("sig", "M", 1.0, 99, 7, tuple(values.tolist()))
         assert_allclose(r.mean, np.mean(values))
         assert_allclose(r.median, np.median(values))
         assert_allclose(r.q25, np.quantile(values, 0.25))
         assert_allclose(r.q75, np.quantile(values, 0.75))
         assert r.replications == len(values)
+        # the report stores the errors; every aggregate is read off them
+        assert [f.name for f in dataclasses.fields(r)] == [
+            "signal_id", "method_id", "parameter", "n", "master_seed",
+            "ise_values"]
