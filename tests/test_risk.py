@@ -295,22 +295,50 @@ class TestGridMemo:
             rows += sum(len(est.kept) for est in fits)
         assert rows > 2 * len(cells)  # the rules keep many cells in common
 
-        pdf_sizes, evals = [], []
+        pdf_args, grid_points, evals = [], [], []
+        proposals, sampler_points = [], []
         pdf, tab_eval = Bumps.pdf, TabulatedFunction.eval
+        points, draw = GridSpec.points, Bumps._draw
+
+        class CountingRng:
+            """Forwards to a generator; each proposal takes two uniforms."""
+
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size):
+                proposals.append(size / 2)
+                return self.rng.random(size)
+
+        def counted_draw(self, rng, n):
+            start = len(pdf_args)
+            out = draw(self, CountingRng(rng), n)
+            sampler_points.extend(np.size(x) for x in pdf_args[start:])
+            return out
 
         def counted_pdf(self, x):
-            pdf_sizes.append(np.size(x))
+            pdf_args.append(x)
             return pdf(self, x)
+
+        def recorded_points(self):
+            grid_points.append(points(self))
+            return grid_points[-1]
 
         def counted_eval(self, x):
             evals.append(np.size(x))
             return tab_eval(self, x)
 
         monkeypatch.setattr(Bumps, "pdf", counted_pdf)
+        monkeypatch.setattr(Bumps, "_draw", counted_draw)
+        monkeypatch.setattr(GridSpec, "points", recorded_points)
         monkeypatch.setattr(TabulatedFunction, "eval", counted_eval)
         mise_sweep(signal, n, methods, reps, master)
-        assert [s for s in pdf_sizes if s in sizes] == sizes
+        on_grid = [np.size(x) for x in pdf_args
+                   if any(x is p for p in grid_points)]
+        assert on_grid == sizes
         assert 0 < len(evals) <= len(cells)
+        # the sampler screens its proposals before it evaluates the pdf
+        assert 0 < sum(sampler_points) < 0.15 * sum(proposals)
 
     @pytest.mark.parametrize("signal", [mixture_gd(10), mixture_hk(2), Bumps()],
                              ids=["gd10", "hk2", "bumps"])

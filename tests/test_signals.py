@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import ndtr
 
-from wavedens.estimator import true_level_values
+from wavedens import signals
+from wavedens.estimator import estimate, true_level_values
+from wavedens.risk import default_grid, method_from_code, replication_seed
 from wavedens.signals import (
     Bumps,
     Gauss,
@@ -177,6 +179,83 @@ class TestBumps:
         b._envelope = 1e9  # acceptance probability collapses
         with pytest.raises(RuntimeError, match="proposals"):
             b.sample(0, 100)
+
+    @pytest.mark.parametrize("n, seeds", [(2, 2000), (64, 2000), (1024, 2000),
+                                          (4096, 20), (20000, 4)])
+    def test_draws_equal_full_evaluation_sampler(self, n, seeds):
+        b = Bumps()
+        for seed in range(seeds):
+            got = b._draw(np.random.default_rng(seed), n)
+            want, _ = full_evaluation_draw(b, np.random.default_rng(seed), n)
+            assert np.array_equal(got, want), seed
+
+    def test_draws_equal_full_evaluation_sampler_over_two_rounds(self):
+        # at n = 36 the first batch is the 1024-proposal minimum, which
+        # accepts about 54: search for a seed whose first batch falls short
+        b, n = Bumps(), 36
+        seed = next(s for s in range(5000) if full_evaluation_draw(
+            b, np.random.default_rng(s), n)[1] > 1)
+        want, rounds = full_evaluation_draw(b, np.random.default_rng(seed), n)
+        assert rounds == 2
+        assert np.array_equal(b._draw(np.random.default_rng(seed), n), want)
+
+    def test_bin_bound_dominates_pdf(self):
+        b = Bumps()
+        bins = signals._BOUND_BINS
+        lo = np.arange(bins) / bins
+        hi = np.arange(1, bins + 1) / bins
+        # a bin's bound holds on the whole closed bin, both edges included
+        for x in (lo, hi, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0)):
+            assert np.all(b._bin_bound >= b.pdf(x))
+        # and the sampler reads it at the bin of each point
+        lattice = np.arange(2 ** 20) * 2.0 ** -20
+        for x in (signals._BUMP_POSITIONS, *np.split(lattice, 16)):
+            assert np.all(b._bound_at(x) >= b.pdf(x))
+        assert np.max(b._bin_bound) <= b._envelope
+
+    def test_pdf_equals_full_evaluation_formula(self):
+        b = Bumps()
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0,
+                            np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0),
+                            0.1, 0.25, 0.5, 0.81, -0.3, 1.7])
+        est = estimate(b.sample(replication_seed(1, 0), 1024),
+                       method_from_code("S").config())
+        grid = default_grid(b, [est]).points()
+        for x in (special, special.reshape(2, 7), grid, *special):
+            got, want = b.pdf(x), full_evaluation_pdf(b, x)
+            assert type(got) is type(want) and np.shape(got) == np.shape(x)
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+            outside = ~((x >= 0.0) & (x <= 1.0))
+            assert np.all(np.asarray(got).view(np.uint64)[outside] == 0)
+
+
+def full_evaluation_pdf(b, x):
+    """Reference bumps pdf: the peak sum at every point, zeroed off [0, 1]
+    by ``np.where``."""
+    x = np.asarray(x, dtype=float)
+    u = 1.0 + np.abs(x[..., None] - signals._BUMP_POSITIONS) / signals._BUMP_WIDTHS
+    out = np.sum(signals._BUMP_HEIGHTS * u ** -4.0, axis=-1)
+    return np.where((x >= 0.0) & (x <= 1.0), out, 0.0) / b.normalizer
+
+
+def full_evaluation_draw(b, rng, n):
+    """Reference bumps sampler: the exact pdf at every proposal.  Returns
+    the draws and the number of proposal rounds."""
+    out = np.empty(n)
+    have = 0
+    rounds = 0
+    while have < n:
+        want = n - have
+        batch = max(1024, int(1.5 * want * b._envelope))
+        x = rng.random(batch)
+        u = rng.random(batch)
+        accepted = x[u * b._envelope <= b.pdf(x)]
+        take = min(len(accepted), want)
+        out[have:have + take] = accepted[:take]
+        have += take
+        rounds += 1
+    return out, rounds
 
 
 def _true_cell(signal, basis, idx):
