@@ -24,6 +24,7 @@ tuning constant.  ``practical`` is ``practical-gamma`` at g = 1, and a
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -422,9 +423,14 @@ class DensityEstimate:
         return {CoefficientIndex(row.j, row.k): row.value for row in self.kept}
 
     def support_hull(self) -> Optional[tuple[float, float]]:
-        """Hull of the reconstruction supports of the kept cells.  The rows
-        are sorted by (j, k) and a support moves right with k, so each
-        level's first and last rows bound it."""
+        """Hull of the reconstruction supports of the kept cells, computed
+        once per estimate."""
+        return self._hull
+
+    @functools.cached_property
+    def _hull(self) -> Optional[tuple[float, float]]:
+        # The rows are sorted by (j, k) and a support moves right with k,
+        # so each level's first and last rows bound it.
         if not self.kept:
             return None
         los, his = [], []

@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +77,9 @@ def _in_parallel(fn, items) -> list:
     w = min(_WORKERS, len(items))
     if w < 2:
         return [fn(i) for i in items]
+
+    # imported here: it loads logging, and only a parallel call needs it
+    from concurrent.futures import ThreadPoolExecutor
 
     def share(k):
         return [fn(i) for i in items[k::w]]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr, stdtr, stdtrit
 
 from .estimator import Sample
 
@@ -79,6 +78,9 @@ class Uniform01(TestSignal):
         return rng.random(n)
 
 
+# The cdf, tail and quantile methods below import scipy.special when they
+# run, not at module level: it costs about 0.3 s of every start, and
+# estimating from a file never needs it.
 class _Normal:
     def __init__(self, mu, sigma):
         if not math.isfinite(mu):
@@ -93,9 +95,11 @@ class _Normal:
         return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
     def cdf(self, x):
+        from scipy.special import ndtr
         return ndtr((np.asarray(x, dtype=float) - self.mu) / self.sigma)
 
     def sf(self, x):
+        from scipy.special import ndtr
         return ndtr(-(np.asarray(x, dtype=float) - self.mu) / self.sigma)
 
     def draw(self, rng, n):
@@ -124,9 +128,11 @@ class _StudentT:
         return self._pdf_const * (1.0 + x * x / self.df) ** (-(self.df + 1.0) / 2.0)
 
     def cdf(self, x):
+        from scipy.special import stdtr
         return stdtr(self.df, np.asarray(x, dtype=float))
 
     def sf(self, x):
+        from scipy.special import stdtr
         return stdtr(self.df, -np.asarray(x, dtype=float))
 
     def draw(self, rng, n):
@@ -136,6 +142,7 @@ class _StudentT:
         return z / np.sqrt(v / self.df)
 
     def bracket(self):
+        from scipy.special import stdtrit
         q = stdtrit(self.df, 1.0 - _TAIL_MASS / 4.0)
         return -float(q), float(q)
 

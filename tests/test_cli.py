@@ -3,6 +3,9 @@
 import argparse
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,8 @@ from wavedens.risk import (
     support_sweep,
 )
 from wavedens.signals import Bumps, Gauss, Uniform01, mixture_gd, mixture_hk
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -721,3 +726,37 @@ class TestManifestRerun:
         assert main(["estimate", "--input", str(data_csv),
                      "--basis", "haar"]) == 0
         assert (target / "estimate.json").exists()
+
+
+class TestStartUp:
+    def test_scipy_loads_only_for_a_signal_cdf(self, tmp_path):
+        # --help and the golden estimate evaluate no test signal, so a fresh
+        # process running them imports no SciPy; the golden bench's ISE tail
+        # term needs the Gaussian cdf, and loads scipy.special on first use
+        estimate = ["estimate", "--input", str(GOLDEN / "input_days.csv"),
+                    "--rescale", "250", "--basis", "haar",
+                    "--grid-step", "0.0625", "--grid-lo", "-1.0",
+                    "--grid-hi", "4.0", "-o", str(tmp_path / "estimate")]
+        bench = ["bench", "--sweep", "support", "--values", "10",
+                 "--methods", "H,K", "--n", "64", "--reps", "2",
+                 "--seed", "3", "-o", str(tmp_path / "bench")]
+        code = ("import contextlib, io, json, sys, wavedens.cli\n"
+                "from wavedens.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    help_code = main(['--help'])\n"
+                f"estimate_code = main({estimate!r})\n"
+                "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                f"bench_code = main({bench!r})\n"
+                "print(json.dumps([help_code, estimate_code, scipy,\n"
+                "                  bench_code, 'scipy.special' in sys.modules]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        help_code, estimate_code, scipy, bench_code, special = json.loads(
+            proc.stdout)
+        assert help_code == estimate_code == 0
+        assert scipy == []
+        assert bench_code == 0 and special

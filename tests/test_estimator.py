@@ -652,6 +652,22 @@ class TestEvaluate:
             assert est.support_hull() == (min(los), max(his))
         assert _manual_estimate(haar, [], positive=True).support_hull() is None
 
+    def test_support_hull_computed_once(self, spline, monkeypatch):
+        est = estimate(Bumps().sample(6, 1024),
+                       EstimatorConfig(basis=spline, mode=practical()))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return reconstruction_support(*args)
+
+        monkeypatch.setattr(estimator, "reconstruction_support", counted)
+        first = est.support_hull()
+        assert calls and first is not None
+        calls.clear()
+        assert est.support_hull() is first
+        assert calls == []
+
     def test_cell_cache_changes_no_value(self, spline, haar, rng):
         # rules sharing one cache on one grid give the values each gets
         # alone, on an ascending and on a shuffled grid

@@ -343,21 +343,27 @@ class TestThreads:
             assert recv.recv() == want
 
     def test_no_thread_outlives_import_or_fit(self):
-        code = ("import threading, wavedens.cli\n"
+        # the import also loads no pool module; a parallel fit loads it
+        code = ("import sys, threading, wavedens.cli\n"
                 "before = threading.active_count()\n"
+                "pool = 'concurrent.futures' in sys.modules\n"
                 "from wavedens import kernel\n"
                 "from wavedens.signals import mixture_gd\n"
                 "kernel.fit_kernel(mixture_gd(30).sample(1, 1024))\n"
-                "print(before, threading.active_count(), kernel._WORKERS)\n")
+                "print(before, threading.active_count(), kernel._WORKERS,\n"
+                "      int(pool), int('concurrent.futures' in sys.modules))\n")
         src = str(Path(wavedens.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120,
                               env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
-        before, after, workers = map(int, proc.stdout.split())
+        before, after, workers, pool_at_import, pool_after_fit = map(
+            int, proc.stdout.split())
         assert before == after == 1
         assert 1 <= workers <= 2
+        assert not pool_at_import
+        assert pool_after_fit == (workers == 2)
 
     def test_cpu_count_fallback(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
