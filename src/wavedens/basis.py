@@ -15,6 +15,7 @@ Levels ``j >= 0`` are the usual dyadic dilations ``2**(j/2) * f(2**j x - k)``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
@@ -62,11 +63,16 @@ class StepFunction:
 
     ``values[i]`` holds on ``[breakpoints[i], breakpoints[i+1])``; the last
     piece is closed on the right.  The function is zero outside
-    ``[breakpoints[0], breakpoints[-1]]``.
+    ``[breakpoints[0], breakpoints[-1]]``.  The breakpoints lie on one
+    power-of-two lattice: breakpoint ``i`` is ``(first + i) * 2**-m`` for
+    integers ``first`` and ``m``, so a piece is found without a search.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
+    # (lo, hi, scale, first): the piece holding x is
+    # floor(clip(x, lo, hi) * scale) - first, with scale = 2^m
+    _lattice: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -75,10 +81,19 @@ class StepFunction:
             raise ValueError("need len(values) == len(breakpoints) - 1")
         if not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing")
+        mantissa, exponent = math.frexp(float(bp[1] - bp[0]))
+        scale = math.ldexp(1.0, 1 - exponent)
+        index = bp * scale
+        if mantissa != 0.5 or not np.array_equal(
+                index, np.floor(index[0]) + np.arange(len(bp))):
+            raise ValueError("breakpoints must be the multiples of one "
+                             "power of two, evenly spaced by it")
         bp.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_lattice", (float(bp[0]), float(bp[-2]),
+                                              scale, float(index[0])))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -88,11 +103,27 @@ class StepFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def pieces(self, x):
+    def pieces(self, x, out=None):
         """The value of the piece holding each point, elementwise; a point
-        outside the support gets its nearer end piece's value."""
-        return self.values[np.searchsorted(self.breakpoints[1:-1], x,
-                                           side="right")]
+        outside the support gets its nearer end piece's value.  ``out``, a
+        float array of x's shape and possibly ``x`` itself, receives the
+        values; only the piece index is a new array then.
+
+        The points are clipped to the first and last piece's left ends, so
+        the product by 2^m is exact and fmin/fmax send NaN to the first
+        piece without a warning."""
+        lo, hi, scale, first = self._lattice
+        if out is None:
+            out = np.empty(np.shape(x))
+        t = np.fmin(np.fmax(x, lo, out=out), hi, out=out)
+        if scale < 1.0:
+            # pieces wider than 1: floor first, so that a tiny negative t
+            # cannot round to -0.0 when scaled; floor(floor(t) / 2^-m) is
+            # floor(t / 2^-m)
+            np.floor(t, out=t)
+        np.floor(np.multiply(t, scale, out=t), out=t)
+        index = np.subtract(t, first, out=t).astype(np.intp)
+        return np.take(self.values, index, out=out)
 
     def eval(self, x):
         """Exact lookup, elementwise; NaN at a NaN point."""

@@ -235,76 +235,89 @@ def threshold(cell, n, mode: Mode) -> float:
 # ---------------------------------------------------------------------------
 # level scan
 
-def _runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run index of each entry of ``v`` and the start of each run of equal
-    values."""
-    head = np.empty(len(v), dtype=bool)
-    head[0] = True
-    np.not_equal(v[1:], v[:-1], out=head[1:])
-    return np.cumsum(head) - 1, np.flatnonzero(head)
+# the mark of a compact slot that no observation reached
+_UNTOUCHED = np.iinfo(np.int64).min
 
 
-def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, j: int):
-    """Exact per-cell sums at one level.
+def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, levels):
+    """Exact per-cell sums, level by level.
 
-    Returns ``(ks, s1, s2)`` for every integer translate whose analysis
-    support contains at least one observation: ``s1 = sum psi_jk(X_i)`` and
-    ``s2 = sum psi_jk(X_i)^2``.  Cells never touched by data are not
-    materialized (their empirical coefficient is exactly zero).
+    Yields ``(ks, s1, s2)`` for each of ``levels``, over every integer
+    translate whose analysis support contains at least one observation:
+    ``s1 = sum psi_jk(X_i)`` and ``s2 = sum psi_jk(X_i)^2``.  Cells never
+    touched by data are not materialized (their empirical coefficient is
+    exactly zero).
 
-    ``x`` must be sorted.  Observation i meets translate ``floor(2^j x_i)
-    + c`` for a few offsets c, and the sorted bases come in runs of equal
-    values, so the cells are found per (offset, run): the cost is O(n) per
-    offset plus a sort of the distinct cells, never of the observations,
-    and that sort merges one ascending run of cells per offset.  Each cell
-    adds its terms offset after offset, observations ascending within an
-    offset, so the sums do not depend on how the cells were found.
+    ``x`` must be sorted.  Observation i meets translate ``r_i + c``,
+    ``r_i = floor(2^j x_i)``, for offsets c that span W integers from
+    ``c_min``.  Each run of equal bases gets a compact slot ``z``: 0 for
+    the first run, then the previous slot plus ``min(gap, W)``.  Cell
+    ``r_i + c`` sits at slot ``z_i + c - c_min``, so the slots ascend with
+    the cells and number at most W per run.  ``np.add.at`` adds in index
+    order, offset after offset: every cell adds its terms in one fixed
+    order, and the touched slots are read out without a sort.  The n-long
+    work arrays are made once for all levels.
     """
-    step_fn, amp, scale = level_function(basis, j)
-    a, b = step_fn.support
-    t = scale * x
-    base = np.floor(t)
-    frac = t - base
-    run, starts = _runs(base)  # x is sorted, so base is too
-    run_base = base[starts]
-
-    # one slot per offset: the position of each inside observation among
-    # the offset's keys (one per run it meets), the key count, the terms
-    slots, keys = [], []
-    # Integer offsets c with u = frac - c possibly inside [a, b]; frac in
-    # [0, 1), so c ranges over ceil(-b) .. floor(1 - a).
-    for c in range(math.ceil(-b), math.floor(1.0 - a) + 1):
-        u = frac - c
-        inside = (u >= a) & (u <= b)
-        if inside.all():
-            uu, pos, bases = u, run, run_base
-        elif inside.any():
-            uu, obs_run = u[inside], run[inside]  # obs_run ascends
-            pos, heads = _runs(obs_run)
-            bases = run_base[obs_run[heads]]
-        else:
-            continue
-        slots.append((pos, len(bases), amp * step_fn.pieces(uu)))
-        keys.append(bases + c)
-    # b - a >= 1: every observation lands in some translate.  Each offset's
-    # cells ascend; the stable sort merges those runs into distinct cells.
-    keys = np.concatenate(keys).astype(np.int64)
-    order = np.argsort(keys, kind="stable")
-    sorted_cell, firsts = _runs(keys[order])
-    k_out = keys[order[firsts]]
-    cell = np.empty_like(sorted_cell)
-    cell[order] = sorted_cell
-
-    # add.at adds in index order, offset after offset: each cell sums its
-    # terms in the same order whatever the merge did
-    s1, s2 = np.zeros(len(k_out)), np.zeros(len(k_out))
-    at = 0
-    for pos, size, v in slots:
-        obs_cell = cell[at:at + size][pos]
-        at += size
-        np.add.at(s1, obs_cell, v)
-        np.add.at(s2, obs_cell, v * v)
-    return k_out, s1, s2
+    n = len(x)
+    frac, u = np.empty(n), np.empty(n)
+    shift, z, slot = (np.empty(n, dtype=np.int64) for _ in range(3))
+    shift_buf = s1_buf = s2_buf = np.empty(0)
+    for j in levels:
+        step_fn, amp, scale = level_function(basis, j)
+        a, b = step_fn.support
+        # shift holds each observation's base r = floor(2^j x) for now
+        np.floor(np.multiply(x, scale, out=frac), out=shift, casting="unsafe")
+        frac -= shift
+        # frac lies in [0, 1] (it rounds up to 1 when 2^j x is a tiny
+        # negative number), so u = frac - c can meet [a, b] for c from
+        # ceil(-b) to floor(1 - a).  Rounding is monotone, so u lies in
+        # [-c, 1 - c], and an offset whose range lies inside [a, b] needs
+        # no inside test.
+        hits = []
+        for c in range(math.ceil(-b), math.floor(1.0 - a) + 1):
+            inside = None
+            if not (a <= -c and 1 - c <= b):
+                np.subtract(frac, c, out=u)
+                inside = u >= a
+                inside &= u <= b
+                if not inside.any():
+                    continue
+            hits.append((c, inside))
+        # b - a >= 1: every observation meets some translate
+        c_min = hits[0][0]
+        width = hits[-1][0] - c_min + 1
+        z[0] = 0
+        np.subtract(shift[1:], shift[:-1], out=z[1:])
+        np.minimum(z, width, out=z)
+        np.cumsum(z, out=z)
+        # the observation's slot z + c - c_min holds cell r + c: the slot
+        # plus the shift r + c_min - z
+        shift += c_min
+        shift -= z
+        size = int(z[-1]) + width
+        if size > len(s1_buf):  # size <= width * n
+            shift_buf, s1_buf, s2_buf = (np.empty(width * n, dtype=np.int64),
+                                         np.empty(width * n),
+                                         np.empty(width * n))
+        slot_shift, s1, s2 = shift_buf[:size], s1_buf[:size], s2_buf[:size]
+        slot_shift.fill(_UNTOUCHED)
+        s1.fill(0.0)
+        s2.fill(0.0)
+        for c, inside in hits:
+            if inside is None:
+                v = np.subtract(frac, c, out=u)
+                at = np.add(z, c - c_min, out=slot)
+                slot_shift[at] = shift
+            else:
+                v = frac[inside] - c
+                at = z[inside] + (c - c_min)
+                slot_shift[at] = shift[inside]
+            step_fn.pieces(v, out=v)
+            v *= amp
+            np.add.at(s1, at, v)
+            np.add.at(s2, at, np.multiply(v, v, out=v))
+        cells = np.flatnonzero(slot_shift != _UNTOUCHED)
+        yield cells + slot_shift[cells], s1[cells], s2[cells]
 
 
 def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
@@ -318,19 +331,23 @@ def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
         raise ValueError(f"2^{max(j0, 0)} * max|x| = 2^{max(j0, 0)} * "
                          f"{max_abs!r} reaches 2^52; rescale the data "
                          f"or lower j0")
-    parts = []
-    for level in range(-1, j0 + 1):
-        ks, s1, s2 = _level_stats(x, basis, level)
+    levels = range(-1, j0 + 1)
+    parts, counts = [], []
+    for ks, s1, s2 in _level_stats(x, basis, levels):
         nonzero = s1 != 0.0
         s1 = s1[nonzero]
-        parts.append((np.full(len(s1), level, dtype=np.int64), ks[nonzero],
-                      s1 / n, _unbiased_variance(s1, s2[nonzero], n),
-                      np.full(len(s1), sup_norm(basis, (level, 0)))))
+        parts.append((ks[nonzero], s1 / n,
+                      _unbiased_variance(s1, s2[nonzero], n)))
+        counts.append(len(s1))
     # join one column at a time and drop its level pieces right away, so
     # the peak holds one copy of the table rather than two
     columns = [list(col) for col in zip(*parts)]
     del parts
-    out = tuple(np.concatenate(columns.pop(0)) for _ in range(5))
+    ks, beta, sig = (np.concatenate(columns.pop(0)) for _ in range(3))
+    out = (np.repeat(np.arange(-1, j0 + 1, dtype=np.int64), counts), ks,
+           beta, sig,
+           np.repeat([sup_norm(basis, (level, 0)) for level in levels],
+                     counts))
     for col in out:
         col.setflags(write=False)
     return out

@@ -1,6 +1,7 @@
 """Tests for the biorthogonal wavelet families."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,44 @@ class TestStepFunction:
             StepFunction(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             StepFunction(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("breakpoints", [
+        [0.0, 0.5, 1.5],         # uneven
+        [0.0, 0.5, 1.0, 1.25],   # uneven at the end
+        [0.0, 0.3, 0.6],         # a step that is not a power of two
+        [0.0, 3.0],
+        [0.25, 1.25, 2.25],      # step 1, breakpoints off its multiples
+    ])
+    def test_breakpoints_off_one_power_of_two_lattice_raise(self,
+                                                            breakpoints):
+        with pytest.raises(ValueError, match="power of two"):
+            StepFunction(np.array(breakpoints),
+                         np.ones(len(breakpoints) - 1))
+
+    def test_pieces_match_a_breakpoint_search(self, haar, spline):
+        wide = StepFunction(np.array([-4.0, -2.0, 0.0, 2.0, 4.0]),
+                            np.array([1.0, 2.0, 3.0, 4.0]))
+        for f in (haar.phi, haar.psi, spline.psi, wide,
+                  StepFunction(np.array([0.0, 2.0]), np.array([3.0]))):
+            bp = f.breakpoints
+            x = np.concatenate([
+                bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
+                [-np.inf, np.inf, -1e308, 1e308, -3e5, 3e5, 2.0 ** -1074,
+                 -(2.0 ** -1074), -0.0]])
+            want = f.values[np.searchsorted(bp[1:-1], x, side="right")]
+            assert np.array_equal(f.pieces(x), want)
+            out = np.empty_like(x)
+            assert f.pieces(x, out=out) is out
+            assert np.array_equal(out, want)
+            assert f.pieces(x[0]) == want[0]
+
+    def test_eval_at_nan_is_nan_without_a_warning(self, spline):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spline.psi.eval(np.array([np.nan, 0.25, np.nan]))
+            assert np.isnan(spline.psi.eval(np.nan))
+        assert np.array_equal(got, [np.nan, spline.psi.values[2], np.nan],
+                              equal_nan=True)
 
     def test_moment_closed_form(self):
         f = StepFunction(np.array([0.0, 2.0]), np.array([3.0]))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,9 +93,12 @@ def unique_level_stats(x, basis, j):
 
 
 def assert_scan_matches_unique(values, basis, levels):
+    # one scan over all the levels, so each level reuses the work arrays
+    # the levels before it filled
     x = Sample.from_data(values).observations
-    for j in levels:
-        got = estimator._level_stats(x, basis, j)
+    scans = list(estimator._level_stats(x, basis, levels))
+    assert len(scans) == len(levels)
+    for j, got in zip(levels, scans):
         want = unique_level_stats(x, basis, j)
         assert len(got) == len(want) == 3
         for name, g, w in zip(("ks", "s1", "s2"), got, want):
@@ -396,8 +400,30 @@ _SCAN_CASES = {
 }
 
 
+def _gapped_runs(level, fracs, gaps=(1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1, 6, 1)):
+    """Points whose bases floor(2^level x) start at -1 and step by
+    ``gaps``, one point per base and fraction."""
+    bases = -1 + np.concatenate([[0], np.cumsum(gaps)])
+    x = (bases[:, None] + np.asarray(fracs)[None, :]).ravel()
+    return np.ldexp(x, -max(level, 0))
+
+
+# The compact slots step by min(gap, W), W the span of the offsets in use:
+# off the lattice 1 for Haar and 3 for the spline wavelet; a point on it
+# (frac 0) adds one offset, and the point -1e-17, whose frac rounds up to
+# 1, another (3 and 5).  Gaps 1..6 put the bases W - 1, W and W + 1 apart
+# for each W.
+for _level in (0, 5, 12):
+    _SCAN_CASES[f"gapped runs off the lattice at level {_level}"] = (
+        _gapped_runs(_level, [0.3, 0.7]))
+    _on = _gapped_runs(_level, [0.0, 0.3, 0.7])
+    _SCAN_CASES[f"gapped runs on the lattice at level {_level}"] = _on
+    _SCAN_CASES[f"gapped runs with frac 1 at level {_level}"] = np.append(
+        _on, -1e-17 * 2.0 ** -_level)
+
+
 class TestLevelScan:
-    """The run-merging level scan matches the ``np.unique`` reference bit for
+    """The compact-slot level scan matches the ``np.unique`` reference bit for
     bit: the same cells, sums and sums of squares, at every level."""
 
     @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
@@ -405,6 +431,29 @@ class TestLevelScan:
     def test_matches_unique_reference(self, case, basis_name, haar, spline):
         basis = haar if basis_name == "haar" else spline
         assert_scan_matches_unique(_SCAN_CASES[case], basis, range(-1, 17))
+
+    @pytest.mark.parametrize("basis_name", ["haar", "spline"])
+    def test_large_heavy_tailed_draw(self, basis_name, haar, spline):
+        # the estimate workload's size and signal: 2^16 hk(2) draws
+        basis = haar if basis_name == "haar" else spline
+        x = mixture_hk(2.0).sample(np.random.SeedSequence([18, 0]), 2 ** 16)
+        assert_scan_matches_unique(x.observations, basis, range(-1, 17))
+
+    def test_scan_memory_stays_linear(self, spline):
+        # The 18-level spline scan of these 2^16 draws peaked at 19.0 MB
+        # under tracemalloc (numpy 2.4), 12.6 MB of it the returned table.
+        # The bound adds 5 MB.  The draws span 766, so a cell index dense
+        # over their range would need 5e7 cells at level 16.
+        sample = mixture_hk(2.0).sample(np.random.SeedSequence([7, 0]),
+                                        2 ** 16)
+        estimator._scan(sample, spline, 16)  # warm the basis caches
+        tracemalloc.start()
+        try:
+            estimator._scan(sample, spline, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
 
     @pytest.mark.parametrize("basis_name", ["haar", "spline"])
     def test_heavy_tail_near_the_dyadic_guard(self, basis_name, haar, spline):
@@ -422,7 +471,7 @@ class TestLevelScan:
         # == 2.0 and u = frac - 1 == -1.0 after rounding, so the observation
         # meets four translates, among them the one two below its base
         x = np.array([1e-17, 0.75])
-        ks, _, _ = estimator._level_stats(x, spline, 0)
+        ((ks, _, _),) = estimator._level_stats(x, spline, [0])
         assert ks.tolist() == [-2, -1, 0, 1]
 
     @pytest.mark.parametrize("basis_name", ["haar", "spline"])

@@ -237,9 +237,9 @@ class TestSweeps:
         calls = []
         level_stats = estimator._level_stats
 
-        def counted(x, basis, j):
-            calls.append(j)
-            return level_stats(x, basis, j)
+        def counted(x, basis, levels):
+            calls.extend(levels)
+            return level_stats(x, basis, levels)
 
         monkeypatch.setattr(estimator, "_level_stats", counted)
         n = 256
