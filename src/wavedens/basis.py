@@ -352,7 +352,8 @@ def sup_norm(basis: BiorthogonalBasis, idx) -> float:
 
 
 def reconstruction_support(basis: BiorthogonalBasis, idx) -> tuple[float, float]:
-    """Closed support of the synthesis function at this index."""
+    """Closed support of the synthesis function at this index; with an
+    integer array of translates ``k``, both ends are arrays."""
     j, k = idx
     fn, _, scale = level_function(basis, j, synthesis=True)
     a, b = fn.support

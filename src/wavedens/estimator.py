@@ -23,10 +23,10 @@ tuning constant.  ``practical`` is ``practical-gamma`` at g = 1, and a
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -237,6 +237,26 @@ def threshold(cell, n, mode: Mode) -> float:
 
 # the mark of a compact slot that no observation reached
 _UNTOUCHED = np.iinfo(np.int64).min
+# (level, observation) pairs per batch of the level scan.  Measured on
+# 2-CPU hosts at n = 1024..16384: 2^14 was fastest or within 3% of it,
+# 2^15 and 2^16 were slower from n = 4096 on (their slot arrays leave the
+# cache), and smaller batches were slower at n = 1024.
+_SCAN_PAIRS = 2 ** 14
+
+
+def _scan_batches(basis: BiorthogonalBasis, levels, n: int) -> list:
+    """``levels`` cut into runs of consecutive levels that share one
+    analysis function, each of at most max(1, _SCAN_PAIRS // n) levels:
+    ``[(step_fn, [(j, amp, scale), ...]), ...]``."""
+    size = max(1, _SCAN_PAIRS // n)
+    batches = []
+    for j in levels:
+        step_fn, amp, scale = level_function(basis, j)
+        if (not batches or batches[-1][0] is not step_fn
+                or len(batches[-1][1]) == size):
+            batches.append((step_fn, []))
+        batches[-1][1].append((j, amp, scale))
+    return batches
 
 
 def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, levels):
@@ -248,26 +268,36 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, levels):
     touched by data are not materialized (their empirical coefficient is
     exactly zero).
 
-    ``x`` must be sorted.  Observation i meets translate ``r_i + c``,
-    ``r_i = floor(2^j x_i)``, for offsets c that span W integers from
-    ``c_min``.  Each run of equal bases gets a compact slot ``z``: 0 for
-    the first run, then the previous slot plus ``min(gap, W)``.  Cell
-    ``r_i + c`` sits at slot ``z_i + c - c_min``, so the slots ascend with
-    the cells and number at most W per run.  ``np.add.at`` adds in index
-    order, offset after offset: every cell adds its terms in one fixed
-    order, and the touched slots are read out without a sort.  The n-long
-    work arrays are made once for all levels.
+    ``x`` must be sorted.  The levels run in batches of consecutive levels
+    that share one analysis function, at most max(1, _SCAN_PAIRS // n)
+    levels each; a batch's m levels fill (m, n) arrays, row by row.
+    Observation i meets translate ``r_i + c``, ``r_i = floor(2^j x_i)``,
+    for offsets c that span W integers from ``c_min``.  Each run of equal
+    bases gets a compact slot ``z``: 0 for the first run, then the
+    previous slot plus ``min(gap, W)``, and a level's first slot lies W
+    past the last slot of the level before it.  Cell ``r_i + c`` sits at
+    slot ``z_i + c - c_min``, so the slots ascend with the cells, number
+    at most W per run, and no two levels share one.  ``np.add.at`` adds
+    in index order, offset after offset, over the whole batch: every cell
+    adds its terms offset after offset with the observations ascending,
+    and the touched slots are read out without a sort.  The work arrays
+    are made once per scan, for the longest batch.
     """
     n = len(x)
-    frac, u = np.empty(n), np.empty(n)
-    shift, z, slot = (np.empty(n, dtype=np.int64) for _ in range(3))
+    batches = _scan_batches(basis, levels, n)
+    rows = max((len(level_rows) for _, level_rows in batches), default=0)
+    frac, u = np.empty((rows, n)), np.empty((rows, n))
+    shift, z, slot = (np.empty((rows, n), dtype=np.int64) for _ in range(3))
     shift_buf = s1_buf = s2_buf = np.empty(0)
-    for j in levels:
-        step_fn, amp, scale = level_function(basis, j)
+    for step_fn, level_rows in batches:
+        m = len(level_rows)
+        _, amps, scales = (np.array(col) for col in zip(*level_rows))
+        fr, w, sh, zm, sl = frac[:m], u[:m], shift[:m], z[:m], slot[:m]
         a, b = step_fn.support
-        # shift holds each observation's base r = floor(2^j x) for now
-        np.floor(np.multiply(x, scale, out=frac), out=shift, casting="unsafe")
-        frac -= shift
+        # sh holds each observation's base r = floor(2^j x) for now
+        np.floor(np.multiply(scales[:, None], x, out=fr), out=sh,
+                 casting="unsafe")
+        fr -= sh
         # frac lies in [0, 1] (it rounds up to 1 when 2^j x is a tiny
         # negative number), so u = frac - c can meet [a, b] for c from
         # ceil(-b) to floor(1 - a).  Rounding is monotone, so u lies in
@@ -277,47 +307,62 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, levels):
         for c in range(math.ceil(-b), math.floor(1.0 - a) + 1):
             inside = None
             if not (a <= -c and 1 - c <= b):
-                np.subtract(frac, c, out=u)
-                inside = u >= a
-                inside &= u <= b
+                np.subtract(fr, c, out=w)
+                inside = w >= a
+                inside &= w <= b
                 if not inside.any():
                     continue
             hits.append((c, inside))
         # b - a >= 1: every observation meets some translate
         c_min = hits[0][0]
         width = hits[-1][0] - c_min + 1
-        z[0] = 0
-        np.subtract(shift[1:], shift[:-1], out=z[1:])
-        np.minimum(z, width, out=z)
-        np.cumsum(z, out=z)
+        # the batch's rows end to end: a level's first step is W
+        zf, shf, slf = zm.reshape(-1), sh.reshape(-1), sl.reshape(-1)
+        zf[0] = 0
+        np.subtract(shf[1:], shf[:-1], out=zf[1:])
+        zm[1:, 0] = width
+        np.minimum(zf, width, out=zf)
+        np.cumsum(zf, out=zf)
         # the observation's slot z + c - c_min holds cell r + c: the slot
         # plus the shift r + c_min - z
-        shift += c_min
-        shift -= z
-        size = int(z[-1]) + width
-        if size > len(s1_buf):  # size <= width * n
-            shift_buf, s1_buf, s2_buf = (np.empty(width * n, dtype=np.int64),
-                                         np.empty(width * n),
-                                         np.empty(width * n))
+        sh += c_min
+        sh -= zm
+        size = int(zf[-1]) + width
+        if size > len(s1_buf):  # size <= width * m * n
+            shift_buf, s1_buf, s2_buf = (np.empty(width * m * n, dtype=t)
+                                         for t in (np.int64, float, float))
         slot_shift, s1, s2 = shift_buf[:size], s1_buf[:size], s2_buf[:size]
         slot_shift.fill(_UNTOUCHED)
         s1.fill(0.0)
         s2.fill(0.0)
         for c, inside in hits:
             if inside is None:
-                v = np.subtract(frac, c, out=u)
-                at = np.add(z, c - c_min, out=slot)
-                slot_shift[at] = shift
+                v = np.subtract(fr, c, out=w)
+                at = np.add(zf, c - c_min, out=slf)
+                slot_shift[at] = shf
+                amp = amps[:, None]
             else:
-                v = frac[inside] - c
-                at = z[inside] + (c - c_min)
-                slot_shift[at] = shift[inside]
+                v = fr[inside] - c
+                at = zm[inside] + (c - c_min)
+                slot_shift[at] = sh[inside]
+                amp = np.repeat(amps, np.count_nonzero(inside, axis=1))
             step_fn.pieces(v, out=v)
             v *= amp
+            # flat values: the 1-D fast path of np.add.at
+            v = v.reshape(-1)
             np.add.at(s1, at, v)
             np.add.at(s2, at, np.multiply(v, v, out=v))
-        cells = np.flatnonzero(slot_shift != _UNTOUCHED)
-        yield cells + slot_shift[cells], s1[cells], s2[cells]
+        touched = np.flatnonzero(slot_shift != _UNTOUCHED)
+        cols = touched + slot_shift[touched], s1[touched], s2[touched]
+        # each level's slots start at its first observation's slot
+        ends = [*np.searchsorted(touched, zm[1:, 0]).tolist(), len(touched)]
+        parts = [tuple(col[lo:hi] for col in cols)
+                 for lo, hi in zip([0, *ends], ends)]
+        # hold no level the caller has taken, so it can free what it drops
+        del touched, cols
+        parts.reverse()
+        while parts:
+            yield parts.pop()
 
 
 def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
@@ -419,6 +464,12 @@ def eval_ascending(fn, grid) -> np.ndarray:
     return out.reshape(shape)
 
 
+# Points per synthesis lookup.  It bounds the lookup's temporaries, and
+# a replication of the calibrate study (n = 1024) needs at most about
+# 9,200 points per level, so there each level takes one lookup.
+_LOOKUP_POINTS = 2 ** 14
+
+
 @dataclass(frozen=True)
 class DensityEstimate:
     """Sparse thresholded reconstruction.
@@ -445,21 +496,21 @@ class DensityEstimate:
         return self._hull
 
     @functools.cached_property
+    def _levels(self) -> tuple:
+        """``(j, rows)`` per level of the kept rows, in (j, k) order."""
+        return tuple((j, tuple(rows)) for j, rows in
+                     itertools.groupby(self.kept, key=operator.itemgetter(0)))
+
+    @functools.cached_property
     def _hull(self) -> Optional[tuple[float, float]]:
-        # The rows are sorted by (j, k) and a support moves right with k,
-        # so each level's first and last rows bound it.
+        # a support moves right with k, so each level's first and last
+        # cells bound it
         if not self.kept:
             return None
-        los, his = [], []
-        for j in range(self.kept[0].j, self.kept[-1].j + 1):
-            first = bisect.bisect_left(self.kept, (j,))
-            last = bisect.bisect_left(self.kept, (j + 1,)) - 1
-            if first <= last:
-                los.append(reconstruction_support(
-                    self.basis, (j, self.kept[first].k))[0])
-                his.append(reconstruction_support(
-                    self.basis, (j, self.kept[last].k))[1])
-        return min(los), max(his)
+        return (min(reconstruction_support(self.basis, (j, rows[0].k))[0]
+                    for j, rows in self._levels),
+                max(reconstruction_support(self.basis, (j, rows[-1].k))[1]
+                    for j, rows in self._levels))
 
     def evaluate(self, grid, *, cells: Optional[dict] = None) -> np.ndarray:
         """Pointwise reconstruction on ``grid``, clipped at zero when the
@@ -467,34 +518,59 @@ class DensityEstimate:
         kept reconstruction supports, and NaN at a NaN point.
 
         ``cells`` is a cache handle, not an option: a dict that keeps each
-        kept cell's synthesis values on these points, keyed by
-        ``(basis, j, k)``, so that estimates evaluated on the same points
-        compute each cell once.  Pass it only with the points it was
-        filled on; ``None`` keeps nothing.  The values do not depend on it.
+        kept cell's synthesis values on these points, ``cells[basis][j, k]``,
+        so that estimates evaluated on the same points compute each cell
+        once.  Pass it only with the points it was filled on; ``None``
+        keeps nothing.  The values do not depend on it.
         """
         return eval_ascending(lambda x: self._evaluate_ascending(x, cells),
                               grid)
 
     def _evaluate_ascending(self, x: np.ndarray, cells) -> np.ndarray:
+        memo = None if cells is None else cells.setdefault(self.basis, {})
         out = np.zeros_like(x)
-        # each kept cell touches one run of the ascending points
-        for row in self.kept:
-            key = (self.basis, row.j, row.k)
-            cell = None if cells is None else cells.get(key)
-            if cell is None:
-                fn, amp, scale = level_function(self.basis, row.j,
-                                                synthesis=True)
-                lo, hi = reconstruction_support(self.basis, (row.j, row.k))
-                i0 = np.searchsorted(x, lo, side="left")
-                i1 = np.searchsorted(x, hi, side="right")
-                cell = i0, i1, amp, fn.eval(scale * x[i0:i1] - row.k)
-                if cells is not None:
-                    cells[key] = cell
-            i0, i1, amp, values = cell
-            out[i0:i1] += (row.value * amp) * values
+        for j, rows in self._levels:
+            # without a memo, a level's cells live while it is added
+            level = {} if memo is None else memo
+            new = [row.k for row in rows if (j, row.k) not in level]
+            if new:
+                self._add_cells(level, x, j, np.array(new))
+            # each kept cell touches one run of the ascending points
+            for row in rows:
+                i0, i1, amp, values = level[j, row.k]
+                out[i0:i1] += (row.value * amp) * values
         if self.positive_part:
             np.maximum(out, 0.0, out=out)
         return out
+
+    def _add_cells(self, cells: dict, x: np.ndarray, j: int, ks):
+        """Put the synthesis values of level j's cells ``ks`` on the
+        ascending points ``x`` into ``cells``, keyed by ``(j, k)``: the
+        supports as vectors, and one lookup of the cells' arguments
+        ``scale * x - k`` over their runs of points, end to end, per
+        ``_LOOKUP_POINTS`` points."""
+        fn, amp, scale = level_function(self.basis, j, synthesis=True)
+        lo, hi = reconstruction_support(self.basis, (j, ks))
+        windows = list(zip(ks.tolist(),
+                           np.searchsorted(x, lo, side="left").tolist(),
+                           np.searchsorted(x, hi, side="right").tolist()))
+        while windows:
+            # the next cells that fit in _LOOKUP_POINTS points, one at least
+            take, points = 0, 0
+            for _, c0, c1 in windows:
+                if take and points + c1 - c0 > _LOOKUP_POINTS:
+                    break
+                take, points = take + 1, points + c1 - c0
+            group, windows = windows[:take], windows[take:]
+            args = np.concatenate([x[c0:c1] for _, c0, c1 in group])
+            args *= scale
+            args -= np.repeat([k for k, _, _ in group],
+                              [c1 - c0 for _, c0, c1 in group])
+            values = fn.eval(args)
+            end = 0
+            for k, c0, c1 in group:
+                end += c1 - c0
+                cells[j, k] = c0, c1, amp, values[end - (c1 - c0):end]
 
     def to_json_dict(self) -> dict:
         return {

@@ -211,11 +211,17 @@ def eval_kernel(estimate: KernelEstimate, grid) -> np.ndarray:
 
     def density(pts):
         out = np.zeros_like(pts)
+        # each chunk's window of observations; a chunk whose window is
+        # empty keeps its +0.0
+        starts = np.arange(0, len(pts), _EVAL_CHUNK)
+        lasts = np.minimum(starts + _EVAL_CHUNK, len(pts)) - 1
+        i0 = np.searchsorted(x, pts[starts] - reach, side="left")
+        i1 = np.searchsorted(x, pts[lasts] + reach, side="right")
+        busy = i0 < i1
 
-        def chunk_at(start):
+        def chunk_at(window):
+            start, i0, i1 = window
             chunk = pts[start:start + _EVAL_CHUNK]
-            i0 = int(np.searchsorted(x, chunk[0] - reach, side="left"))
-            i1 = int(np.searchsorted(x, chunk[-1] + reach, side="right"))
             z = (chunk[:, None] - x[None, i0:i1]) / h
             z *= z
             near = z < _REACH * _REACH
@@ -224,7 +230,8 @@ def eval_kernel(estimate: KernelEstimate, grid) -> np.ndarray:
             z *= near
             out[start:start + _EVAL_CHUNK] = norm * np.sum(z, axis=1)
 
-        _in_parallel(chunk_at, range(0, len(pts), _EVAL_CHUNK))
+        _in_parallel(chunk_at, zip(starts[busy].tolist(), i0[busy].tolist(),
+                                   i1[busy].tolist()))
         return out
 
     return eval_ascending(density, grid)

@@ -429,6 +429,7 @@ class TestLevelScan:
     @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
     @pytest.mark.parametrize("basis_name", ["haar", "spline"])
     def test_matches_unique_reference(self, case, basis_name, haar, spline):
+        # small samples: levels 0..16 run in one or two batches
         basis = haar if basis_name == "haar" else spline
         assert_scan_matches_unique(_SCAN_CASES[case], basis, range(-1, 17))
 
@@ -484,6 +485,81 @@ class TestLevelScan:
             self, basis_name, haar, spline, values, level):
         basis = haar if basis_name == "haar" else spline
         assert_scan_matches_unique(values, basis, [level])
+
+    @pytest.mark.parametrize("basis_name", ["haar", "spline"])
+    @settings(max_examples=100)
+    @given(values=st.lists(st.floats(-1e3, 1e3, allow_nan=False,
+                                     allow_subnormal=True),
+                           min_size=2, max_size=60),
+           first=st.integers(-1, 16), count=st.integers(1, 12),
+           pairs=st.sampled_from([1, 7, 64, 150, estimator._SCAN_PAIRS]))
+    def test_batched_levels_match_unique_reference(
+            self, basis_name, haar, spline, values, first, count, pairs):
+        # runs of levels cut into batches of max(1, pairs // n) levels,
+        # with a remainder or without
+        basis = haar if basis_name == "haar" else spline
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimator, "_SCAN_PAIRS", pairs)
+            assert_scan_matches_unique(values, basis,
+                                       range(first, first + count))
+
+    @pytest.mark.parametrize("basis_name", ["haar", "spline"])
+    @pytest.mark.parametrize("per_batch", [4, 2])
+    def test_batches_split_with_a_remainder(self, basis_name, per_batch,
+                                            haar, spline):
+        # levels 0..16 in batches of 4 or 2 levels leave one over; the
+        # father level runs alone
+        basis = haar if basis_name == "haar" else spline
+        n = estimator._SCAN_PAIRS // per_batch
+        x = mixture_hk(2.0).sample(np.random.SeedSequence([19, n]), n)
+        levels = range(-1, 17)
+        sizes = [len(rows) for _, rows in
+                 estimator._scan_batches(basis, levels, n)]
+        assert sizes == [1, *[per_batch] * (16 // per_batch), 1]
+        assert_scan_matches_unique(x.observations, basis, levels)
+
+    def test_one_piece_lookup_per_offset_and_batch(self, spline,
+                                                   monkeypatch):
+        # the calibrate workload's scan: n = 1024, levels -1..10 in two
+        # batches (the father alone, then levels 0..10); one lookup per
+        # level and offset would take 1 + 3 * 11 = 34
+        sample = Bumps().sample(3, 1024)
+        levels = range(-1, 11)
+        batches = estimator._scan_batches(spline, levels, sample.n)
+        assert len(batches) == 2
+        offsets = max(math.floor(1.0 - a) - math.ceil(-b) + 1
+                      for a, b in (spline.phi.support, spline.psi.support))
+        calls = []
+        pieces = StepFunction.pieces
+
+        def counted(self, x, out=None):
+            calls.append(np.shape(x))
+            return pieces(self, x, out=out)
+
+        monkeypatch.setattr(StepFunction, "pieces", counted)
+        assert len(list(estimator._level_stats(sample.observations, spline,
+                                               levels))) == len(levels)
+        assert 0 < len(calls) <= offsets * len(batches)
+
+    def test_scan_memory_bounded_by_the_batch(self, spline):
+        # n = 2^12 under the theoretical cap with c = 1.5: levels -1..18,
+        # the wavelet levels four to a batch.  The scan peaked at 4.9 MB
+        # under tracemalloc (numpy 2.4), 3.0 MB of it the returned table,
+        # against 12.9 MB with all 19 wavelet levels in one batch.  The
+        # bound adds 1.1 MB.
+        n = 2 ** 12
+        sample = mixture_hk(2.0).sample(np.random.SeedSequence([12, 0]), n)
+        j0 = EstimatorConfig(spline, theoretical_gamma(1.0, c=1.5)).j0(n)
+        assert j0 == 18
+        assert estimator._SCAN_PAIRS // n == 4
+        estimator._scan(sample, spline, j0)  # warm the basis caches
+        tracemalloc.start()
+        try:
+            estimator._scan(sample, spline, j0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
 
 
 class TestEstimate:
@@ -731,8 +807,93 @@ class TestEvaluate:
                 for est in fits:
                     got = est.evaluate(grid, cells=cells)
                     assert got.tobytes() == est.evaluate(grid).tobytes()
-                assert len(cells) == len({(r.j, r.k) for est in fits
-                                          for r in est.kept})
+                assert list(cells) == [basis]
+                assert len(cells[basis]) == len({(r.j, r.k) for est in fits
+                                                 for r in est.kept})
+
+
+def _ordered_sum(est, grid):
+    """The estimate on ``grid`` as the (j, k)-ordered sum of its synthesis
+    terms over every point, each term scaled as ``(value * amp) * f``."""
+    out = np.zeros(len(grid))
+    for row in est.kept:
+        fn, amp, scale = level_function(est.basis, row.j, synthesis=True)
+        out += (row.value * amp) * fn.eval(scale * grid - row.k)
+    return np.maximum(out, 0.0) if est.positive_part else out
+
+
+class TestLevelLookups:
+    """The kept cells missing from the memo are looked up level by level;
+    the values equal the term-by-term sum bit for bit."""
+
+    @staticmethod
+    def _fits(basis):
+        sample = Bumps().sample(21, 1024)
+        return [estimate(sample, EstimatorConfig(basis=basis, mode=mode))
+                for mode in (practical(), practical_gamma(0.25),
+                             theoretical_gamma(0.5))]
+
+    @pytest.mark.parametrize("basis_name", ["haar", "spline"])
+    @pytest.mark.parametrize("bounds", [None, (0.4, 0.45), (-30.0, -29.0),
+                                        (0.999, 1.6)])
+    @pytest.mark.parametrize("points", [None, 700])
+    def test_equals_ordered_sum_of_terms(self, basis_name, bounds, points,
+                                         haar, spline, monkeypatch):
+        # grids narrower than the hull leave some kept cells no point; a
+        # small lookup cap splits each level's lookup, and a cell wider
+        # than the cap takes one of its own
+        basis = haar if basis_name == "haar" else spline
+        if points is not None:
+            monkeypatch.setattr(estimator, "_LOOKUP_POINTS", points)
+        for est in self._fits(basis):
+            lo, hi = est.support_hull() if bounds is None else bounds
+            grid = np.linspace(lo - 0.25, hi + 0.25, 4001)
+            missed = [row for row in est.kept
+                      if not (grid[0] <= reconstruction_support(
+                          basis, (row.j, row.k))[1]
+                          and reconstruction_support(
+                              basis, (row.j, row.k))[0] <= grid[-1])]
+            assert bool(missed) == (bounds is not None)
+            want = _ordered_sum(est, grid)
+            assert est.evaluate(grid).tobytes() == want.tobytes()
+            assert est.evaluate(grid, cells={}).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("basis_name", ["haar", "spline"])
+    def test_memo_filled_by_another_rule(self, basis_name, haar, spline):
+        # a memo that other rules filled first holds some of this rule's
+        # cells and lacks others; the values do not change
+        basis = haar if basis_name == "haar" else spline
+        fits = self._fits(basis)
+        grid = np.linspace(-0.5, 1.5, 2049)
+        for order in (fits, fits[::-1]):
+            cells = {}
+            for est in order:
+                before = set(cells.get(basis, ()))
+                got = est.evaluate(grid, cells=cells)
+                assert got.tobytes() == _ordered_sum(est, grid).tobytes()
+                assert set(cells[basis]) == before | {(r.j, r.k)
+                                                      for r in est.kept}
+        theirs = {(r.j, r.k) for r in fits[0].kept}
+        mine = {(r.j, r.k) for r in fits[1].kept}
+        assert mine & theirs and mine - theirs
+
+    def test_one_lookup_per_level(self, spline, monkeypatch):
+        est = self._fits(spline)[2]
+        grid = np.linspace(-0.5, 1.5, 2049)
+        calls = []
+        tab_eval = TabulatedFunction.eval
+
+        def counted(self, x):
+            calls.append(np.size(x))
+            return tab_eval(self, x)
+
+        monkeypatch.setattr(TabulatedFunction, "eval", counted)
+        cells = {}
+        est.evaluate(grid, cells=cells)
+        levels = {row.j for row in est.kept}
+        assert len(calls) == len(levels) < len(est.kept)
+        est.evaluate(grid, cells=cells)  # every cell is in the memo now
+        assert len(calls) == len(levels)
 
 
 def _manual_estimate(basis, rows, positive):

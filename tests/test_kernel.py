@@ -259,6 +259,45 @@ class TestEvalKernel:
             dropped = math.exp(-0.5 * _REACH ** 2) / (h * math.sqrt(2 * math.pi))
             assert_allclose(eval_kernel(fit, x), dense, rtol=1e-12, atol=dropped)
 
+    @staticmethod
+    def _every_chunk(fit, pts):
+        """The chunk loop that windows and sums every chunk, empty or not,
+        on ascending points."""
+        x, h = fit.sample.observations, fit.bandwidth
+        norm = 1.0 / (fit.sample.n * h * math.sqrt(2.0 * math.pi))
+        reach = _REACH * h
+        out = np.zeros_like(pts)
+        for start in range(0, len(pts), kernel._EVAL_CHUNK):
+            chunk = pts[start:start + kernel._EVAL_CHUNK]
+            i0 = int(np.searchsorted(x, chunk[0] - reach, side="left"))
+            i1 = int(np.searchsorted(x, chunk[-1] + reach, side="right"))
+            z = (chunk[:, None] - x[None, i0:i1]) / h
+            z *= z
+            near = z < _REACH * _REACH
+            z *= -0.5
+            np.exp(z, out=z)
+            z *= near
+            out[start:start + kernel._EVAL_CHUNK] = norm * np.sum(z, axis=1)
+        return out
+
+    def test_empty_chunks_skipped_bit_for_bit(self):
+        # the gd(70) grid of the support sweep: two clusters 70 apart, so
+        # most chunks lie in the gap and no observation reaches them
+        fit = fit_kernel(mixture_gd(70).sample(5, 1024))
+        lo, hi = fit.support_hull()
+        grid = np.arange(lo - 10.0, hi + 10.0, 2.0 ** -10)
+        want = self._every_chunk(fit, grid)
+        x = fit.sample.observations
+        reach = _REACH * fit.bandwidth
+        firsts = grid[::kernel._EVAL_CHUNK]
+        lasts = grid[kernel._EVAL_CHUNK - 1::kernel._EVAL_CHUNK]
+        empty = (np.searchsorted(x, firsts[:len(lasts)] - reach, "left")
+                 == np.searchsorted(x, lasts + reach, "right"))
+        assert empty.mean() > 0.5
+        assert eval_kernel(fit, grid).tobytes() == want.tobytes()
+        perm = np.random.default_rng(8).permutation(len(grid))
+        assert eval_kernel(fit, grid[perm]).tobytes() == want[perm].tobytes()
+
 
 def _fit_in_child(sample, conn):
     conn.send(fit_kernel(sample).cv_scores)

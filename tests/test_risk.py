@@ -279,19 +279,21 @@ class TestSweeps:
 
 class TestGridMemo:
     """A replication scores every method on one grid object per distinct
-    grid, and that grid computes the pdf and each synthesis cell once."""
+    grid, and that grid computes the pdf and each synthesis cell once, one
+    synthesis lookup per level."""
 
     def test_pdf_once_and_each_cell_once_per_replication(self, spline,
                                                          monkeypatch):
         signal, n, master, reps = Bumps(), 1024, 5, 2
         methods = TestSweeps._gamma_rules("spline")
-        sizes, cells, rows = [], set(), 0
+        sizes, cells, levels, rows = [], set(), 0, 0
         for rep in range(reps):
             sample = signal.sample(replication_seed(master, rep), n)
             fits = [estimate(sample, m.config()) for m in methods]
             (grid,) = {default_grid(signal, [est]) for est in fits}
             sizes.append(grid.npoints)
             cells |= {(rep, row.j, row.k) for est in fits for row in est.kept}
+            levels += len({row.j for est in fits for row in est.kept})
             rows += sum(len(est.kept) for est in fits)
         assert rows > 2 * len(cells)  # the rules keep many cells in common
 
@@ -336,7 +338,9 @@ class TestGridMemo:
         on_grid = [np.size(x) for x in pdf_args
                    if any(x is p for p in grid_points)]
         assert on_grid == sizes
-        assert 0 < len(evals) <= len(cells)
+        # one grid per replication: at most one lookup per level, fewer
+        # than one per distinct kept cell
+        assert 0 < len(evals) <= levels < len(cells)
         # the sampler screens its proposals before it evaluates the pdf
         assert 0 < sum(sampler_points) < 0.15 * sum(proposals)
 
