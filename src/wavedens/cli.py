@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -325,6 +326,10 @@ def _float_list(text: str) -> list:
     return [float(v) for v in text.split(",") if v]
 
 
+# values a --gammas range may hold
+_MAX_GAMMAS = 10 ** 4
+
+
 @_list_flag
 def _gamma_list(text: str) -> list:
     if ":" not in text:
@@ -333,8 +338,14 @@ def _gamma_list(text: str) -> list:
     if len(parts) != 3:
         raise ValueError("gamma range must look like start:stop:step")
     start, stop, step = map(float, parts)
-    if step <= 0 or stop < start:
+    # the length of the arange below, counted before it is allocated; a
+    # NaN or infinite bound or step makes it NaN or infinite
+    count = (stop + step / 2.0 - start) / step if step > 0 else math.nan
+    if not (stop >= start and math.isfinite(count)):
         raise ValueError("bad gamma range")
+    if count > _MAX_GAMMAS:
+        raise ValueError(f"gamma range holds {math.ceil(count)} values, "
+                         f"more than {_MAX_GAMMAS}")
     values = np.arange(start, stop + step / 2.0, step)
     return [float(round(v, 12)) for v in values]
 
@@ -461,7 +472,7 @@ def main(argv=None) -> int:
         _write_json(outdir / "manifest.json", {
             "format": MANIFEST_FORMAT, "command": command, "params": params,
             "outputs": sorted(outputs)})
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"wavedens: error: {exc}", file=sys.stderr)
         return 2
     return 0

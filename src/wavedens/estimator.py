@@ -235,8 +235,6 @@ def threshold(cell, n, mode: Mode) -> float:
 # ---------------------------------------------------------------------------
 # level scan
 
-# the mark of a compact slot that no observation reached
-_UNTOUCHED = np.iinfo(np.int64).min
 # (level, observation) pairs per batch of the level scan.  Measured on
 # 2-CPU hosts at n = 1024..16384: 2^14 was fastest or within 3% of it,
 # 2^15 and 2^16 were slower from n = 4096 on (their slot arrays leave the
@@ -262,11 +260,11 @@ def _scan_batches(basis: BiorthogonalBasis, levels, n: int) -> list:
 def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, levels):
     """Exact per-cell sums, level by level.
 
-    Yields ``(ks, s1, s2)`` for each of ``levels``, over every integer
-    translate whose analysis support contains at least one observation:
-    ``s1 = sum psi_jk(X_i)`` and ``s2 = sum psi_jk(X_i)^2``.  Cells never
-    touched by data are not materialized (their empirical coefficient is
-    exactly zero).
+    Yields ``(ks, s1, s2)`` for each of ``levels``, over the integer
+    translates ``ks`` (ascending) whose sum is nonzero:
+    ``s1 = sum psi_jk(X_i)`` and ``s2 = sum psi_jk(X_i)^2``.  A translate
+    no observation reaches, or whose terms sum to exactly zero, has a zero
+    empirical coefficient and is not yielded.
 
     ``x`` must be sorted.  The levels run in batches of consecutive levels
     that share one analysis function, at most max(1, _SCAN_PAIRS // n)
@@ -280,8 +278,8 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, levels):
     at most W per run, and no two levels share one.  ``np.add.at`` adds
     in index order, offset after offset, over the whole batch: every cell
     adds its terms offset after offset with the observations ascending,
-    and the touched slots are read out without a sort.  The work arrays
-    are made once per scan, for the longest batch.
+    and the slots with a nonzero sum are read out without a sort.  The
+    work arrays are made once per scan, for the longest batch.
     """
     n = len(x)
     batches = _scan_batches(basis, levels, n)
@@ -332,7 +330,6 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, levels):
             shift_buf, s1_buf, s2_buf = (np.empty(width * m * n, dtype=t)
                                          for t in (np.int64, float, float))
         slot_shift, s1, s2 = shift_buf[:size], s1_buf[:size], s2_buf[:size]
-        slot_shift.fill(_UNTOUCHED)
         s1.fill(0.0)
         s2.fill(0.0)
         for c, inside in hits:
@@ -352,23 +349,22 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, levels):
             v = v.reshape(-1)
             np.add.at(s1, at, v)
             np.add.at(s2, at, np.multiply(v, v, out=v))
-        touched = np.flatnonzero(slot_shift != _UNTOUCHED)
-        cols = touched + slot_shift[touched], s1[touched], s2[touched]
+        # a slot no observation reached keeps its +0.0, and an exactly
+        # zero sum adds nothing to the estimate: both are left out
+        cells = np.flatnonzero(s1)
+        cols = cells + slot_shift[cells], s1[cells], s2[cells]
         # each level's slots start at its first observation's slot
-        ends = [*np.searchsorted(touched, zm[1:, 0]).tolist(), len(touched)]
-        parts = [tuple(col[lo:hi] for col in cols)
-                 for lo, hi in zip([0, *ends], ends)]
-        # hold no level the caller has taken, so it can free what it drops
-        del touched, cols
-        parts.reverse()
-        while parts:
-            yield parts.pop()
+        lo = 0
+        for hi in [*np.searchsorted(cells, zm[1:, 0]).tolist(), len(cells)]:
+            yield tuple(col[lo:hi] for col in cols)
+            lo = hi
 
 
 def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
     """The level scan behind :func:`coefficient_table`: its rule-free
-    columns (j, k, beta_hat, sigma_hat_sq, sup), read-only because
-    every rule fitted to the sample reuses them."""
+    columns (j, k, beta_hat, sigma_hat_sq, sup) over exactly the cells
+    :func:`_level_stats` yields, those with a nonzero sum; read-only
+    because every rule fitted to the sample reuses them."""
     x = sample.observations
     n = sample.n
     max_abs = max(abs(float(x[0])), abs(float(x[-1])))
@@ -379,11 +375,8 @@ def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
     levels = range(-1, j0 + 1)
     parts, counts = [], []
     for ks, s1, s2 in _level_stats(x, basis, levels):
-        nonzero = s1 != 0.0
-        s1 = s1[nonzero]
-        parts.append((ks[nonzero], s1 / n,
-                      _unbiased_variance(s1, s2[nonzero], n)))
-        counts.append(len(s1))
+        parts.append((ks, s1 / n, _unbiased_variance(s1, s2, n)))
+        counts.append(len(ks))
     # join one column at a time and drop its level pieces right away, so
     # the peak holds one copy of the table rather than two
     columns = [list(col) for col in zip(*parts)]
@@ -425,7 +418,8 @@ def coefficient_table(sample: Sample, config: EstimatorConfig) -> CoefficientTab
     """Scan levels -1..j0 and threshold every nonzero empirical coefficient.
 
     At each level exactly the translates whose analysis support meets the
-    data are visited; cells whose coefficient is exactly zero are dropped.
+    data are visited, and the scan yields only the cells whose sum is
+    nonzero: a zero coefficient adds nothing to the estimate.
     The scan depends on the sample, basis and j0 alone, so the sample keeps
     it and later rules reuse it; its columns are read-only.  Raises
     ``ValueError`` when ``2**max(j0, 0) * max|x|`` reaches 2^52, where

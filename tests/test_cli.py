@@ -63,6 +63,26 @@ class TestEstimateCommand:
         assert main(args + ["-o", str(out2)]) == 0
         assert _read_tree(out1) == _read_tree(out2)
 
+    @pytest.mark.parametrize("basis", sorted(BASES))
+    def test_row_order_does_not_matter(self, basis, tmp_path):
+        lines = (GOLDEN / "input_days.csv").read_text().splitlines(True)
+        shuffled = list(lines)
+        np.random.default_rng(5).shuffle(shuffled)
+        trees = []
+        for name, rows in [("given", lines), ("reversed", lines[::-1]),
+                           ("shuffled", shuffled)]:
+            path = tmp_path / f"{name}.csv"
+            path.write_text("".join(rows))
+            out = tmp_path / name
+            # --rescale 250 as in the golden run: unscaled, no cell is kept
+            assert main(["estimate", "--input", str(path), "--basis", basis,
+                         "--rescale", "250", "-o", str(out)]) == 0
+            trees.append({f: (out / f).read_bytes()
+                          for f in ("estimate.json", "estimate_grid.csv")})
+        assert shuffled != lines
+        assert json.loads(trees[0]["estimate.json"])["kept"]
+        assert trees[0] == trees[1] == trees[2]
+
     def test_rerun_replaces_outputs(self, data_csv, tmp_path):
         # each output is a new file: a hard link to the last run's file
         # keeps its bytes, and a symlink at an output's name is replaced,
@@ -417,6 +437,14 @@ class TestParams:
         ("calibrate", "--gammas", "0.5,y", "could not convert string to float"),
         ("calibrate", "--gammas", "0.5:1", "start:stop:step"),
         ("calibrate", "--gammas", "1:0.5:0.5", "bad gamma range"),
+        *[("calibrate", "--gammas", text, "bad gamma range") for text in (
+            "nan:1:0.5", "0:inf:0.5", "0:1:inf", "0:1:nan", "0:1:0",
+            "0:1e308:1e-10")],
+        # counted before it is built: 10^17 values would take 711 PiB
+        ("calibrate", "--gammas", "0:1:1e-17",
+         "gamma range holds 100000000000000000 values, more than 10000"),
+        ("calibrate", "--gammas", "0:1:1e-4",
+         "gamma range holds 10001 values, more than 10000"),
         ("bench", "--values", ",", "no values in ','"),
         ("bench", "--methods", ",", "no values in ','"),
         ("calibrate", "--gammas", ",", "no values in ','"),
@@ -493,6 +521,11 @@ class TestCalibrateCommand:
         assert rc == 2
         assert "gamma must be finite, got inf" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text, count", [
+        ("0.25:2:0.25", 8), ("0:1:1.0001e-4", 10000), ("1:1:1", 1)])
+    def test_gamma_range_length(self, text, count):
+        assert len(cli._gamma_list(text)) == count
 
 
 def _no_sweep(*args):
@@ -604,6 +637,17 @@ class TestSampleCommand:
         obs = Bumps().sample(4, 20000).observations
         want = "".join(f"{float(v)!r}\n" for v in obs)
         assert (out / "sample.csv").read_bytes() == want.encode("ascii")
+
+    def test_unallocatable_sample_exit_2(self, tmp_path, capsys):
+        # 2^59 draws would take 4 EiB, more than any 64-bit host can map
+        out = tmp_path / "s"
+        rc = main(["sample", "--signal", "uniform",
+                   "--n", str(2 ** 59), "-o", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wavedens: error: Unable to allocate")
+        assert len(err.splitlines()) == 1
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("flags, message", [
         (["--signal", "hk", "--df", "inf"],

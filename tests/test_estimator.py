@@ -94,13 +94,16 @@ def unique_level_stats(x, basis, j):
 
 def assert_scan_matches_unique(values, basis, levels):
     # one scan over all the levels, so each level reuses the work arrays
-    # the levels before it filled
+    # the levels before it filled; the scan yields exactly the reference's
+    # cells whose sum is nonzero
     x = Sample.from_data(values).observations
     scans = list(estimator._level_stats(x, basis, levels))
     assert len(scans) == len(levels)
     for j, got in zip(levels, scans):
-        want = unique_level_stats(x, basis, j)
-        assert len(got) == len(want) == 3
+        k_ref, s1_ref, s2_ref = unique_level_stats(x, basis, j)
+        nonzero = s1_ref != 0.0
+        want = k_ref[nonzero], s1_ref[nonzero], s2_ref[nonzero]
+        assert len(got) == 3
         for name, g, w in zip(("ks", "s1", "s2"), got, want):
             assert g.dtype == w.dtype, (j, name)
             assert np.array_equal(g, w), (j, name)
@@ -441,9 +444,9 @@ class TestLevelScan:
         assert_scan_matches_unique(x.observations, basis, range(-1, 17))
 
     def test_scan_memory_stays_linear(self, spline):
-        # The 18-level spline scan of these 2^16 draws peaked at 19.0 MB
-        # under tracemalloc (numpy 2.4), 12.6 MB of it the returned table.
-        # The bound adds 5 MB.  The draws span 766, so a cell index dense
+        # The 18-level spline scan of these 2^16 draws peaked at 17.4 MB
+        # under tracemalloc (numpy 2.4; MB = 2^20 bytes), 12.6 MB of it the
+        # returned table.  The bound adds 6.6 MB.  The draws span 766, so a cell index dense
         # over their range would need 5e7 cells at level 16.
         sample = mixture_hk(2.0).sample(np.random.SeedSequence([7, 0]),
                                         2 ** 16)
@@ -470,10 +473,28 @@ class TestLevelScan:
     def test_offset_reaching_the_far_end_of_the_support(self, spline):
         # the spline wavelet lives on [-1, 2]; frac = 1e-17 gives u = frac + 2
         # == 2.0 and u = frac - 1 == -1.0 after rounding, so the observation
-        # meets four translates, among them the one two below its base
+        # meets four translates, among them the one two below its base.
+        # Translate 0 takes +1 from the observation near 0 and -1 from
+        # 0.75, so its sum is exactly zero and the scan leaves it out.
         x = np.array([1e-17, 0.75])
         ((ks, _, _),) = estimator._level_stats(x, spline, [0])
-        assert ks.tolist() == [-2, -1, 0, 1]
+        assert ks.tolist() == [-2, -1, 1]
+        k_ref, s1_ref, _ = unique_level_stats(x, spline, 0)
+        assert k_ref.tolist() == [-2, -1, 0, 1]
+        assert s1_ref[k_ref == 0].tolist() == [0.0]
+
+    def test_cell_whose_terms_cancel_is_left_out(self, haar):
+        # the Haar wavelet is +1 at 0.25 and -1 at 0.75: translate 0 of
+        # level 0 is reached but sums to exactly zero, so neither the scan
+        # nor the table holds a level-0 cell
+        x = np.array([0.25, 0.75])
+        ((ks, s1, s2),) = estimator._level_stats(x, haar, [0])
+        assert ks.tolist() == s1.tolist() == s2.tolist() == []
+        k_ref, s1_ref, _ = unique_level_stats(x, haar, 0)
+        assert k_ref.tolist() == [0] and s1_ref.tolist() == [0.0]
+        table = coefficient_table(Sample.from_data(x), EstimatorConfig(
+            basis=haar, mode=practical(), j0_override=0))
+        assert table.j.tolist() == [-1]
 
     @pytest.mark.parametrize("basis_name", ["haar", "spline"])
     @settings(max_examples=150)
@@ -543,10 +564,10 @@ class TestLevelScan:
 
     def test_scan_memory_bounded_by_the_batch(self, spline):
         # n = 2^12 under the theoretical cap with c = 1.5: levels -1..18,
-        # the wavelet levels four to a batch.  The scan peaked at 4.9 MB
-        # under tracemalloc (numpy 2.4), 3.0 MB of it the returned table,
-        # against 12.9 MB with all 19 wavelet levels in one batch.  The
-        # bound adds 1.1 MB.
+        # the wavelet levels four to a batch.  The scan peaked at 4.4 MB
+        # under tracemalloc (numpy 2.4; MB = 2^20 bytes), 3.0 MB of it the
+        # returned table, against 12.9 MB with all 19 wavelet levels in one
+        # batch.  The bound adds 1.6 MB.
         n = 2 ** 12
         sample = mixture_hk(2.0).sample(np.random.SeedSequence([12, 0]), n)
         j0 = EstimatorConfig(spline, theoretical_gamma(1.0, c=1.5)).j0(n)

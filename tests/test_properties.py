@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wavedens.estimator import (
     EstimatorConfig,
     Sample,
+    coefficient_table,
     estimate,
     practical,
     practical_gamma,
@@ -51,6 +52,23 @@ def test_translation_invariance(basis_name, mode_name, haar, spline, ints, m):
     grid = np.arange(np.floor(lo * GRID_SCALE) - 8,
                      np.ceil(hi * GRID_SCALE) + 9) / GRID_SCALE
     assert np.array_equal(est.evaluate(grid), moved.evaluate(grid + m))
+
+
+@pytest.mark.parametrize("rule", [practical_gamma, theoretical_gamma])
+@pytest.mark.parametrize("basis_name", ["haar", "spline"])
+@settings(max_examples=100)
+@given(ints=LATTICE, gammas=st.lists(st.floats(0.1, 3.0), min_size=2,
+                                     max_size=2, unique=True))
+def test_kept_sets_nest_as_gamma_grows(basis_name, rule, haar, spline, ints,
+                                       gammas):
+    # the threshold is monotone in gamma, so a larger gamma keeps a subset
+    # of the cells a smaller one keeps, exactly
+    basis = haar if basis_name == "haar" else spline
+    sample = Sample.from_data(np.asarray(ints, dtype=float) / 1024.0)
+    low, high = (coefficient_table(sample, EstimatorConfig(basis, rule(g)))
+                 for g in sorted(gammas))
+    assert np.array_equal(low.k, high.k)
+    assert not np.any(high.kept & ~low.kept)
 
 
 @pytest.mark.parametrize("mode_name", sorted(MODES))
