@@ -7,13 +7,12 @@ no numerical integration is needed.  The bandwidth minimizing the score
 over a fixed log-spaced grid around the normal-reference value is selected,
 ties broken toward the larger bandwidth.
 
-Both passes skip work whose result is zero.  The sample is sorted, so the
-pairs of the score are walked in blocks of rows, and each bandwidth reads
-only the columns whose kernel term does not underflow to an exact 0.0;
-no n-by-n array is built.  The fitted density sums, at each point, only
-the observations within ``_REACH`` bandwidths, so it is exactly 0 outside
-``support_hull()``; each term it drops is below exp(-_REACH^2 / 2) times
-the kernel's peak.
+Both passes skip work that cannot change their results.  The sample is
+sorted, so the score walks its pairs in blocks of rows and leaves out the
+far pairs, whose terms add up to under an ulp; no n-by-n array is built.
+The fitted density sums, at each point, only the observations within
+``_REACH`` bandwidths, so it is exactly 0 outside ``support_hull()``; each
+term it drops is below exp(-_REACH^2 / 2) times the kernel's peak.
 
 The blocks of the score and the chunks of the evaluation are independent,
 so they run on up to min(2, usable CPUs) threads: the caller's and one
@@ -47,12 +46,12 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _REACH = 8.0
 # Grid points per evaluation chunk: the chunk's window stays in cache.
 _EVAL_CHUNK = 256
-# Sample rows per block of the cross-validation pairs.
-_LSCV_BLOCK = 32
-# exp(-q) rounds to exactly 0.0 for every q past this bound.
-_EXP_UNDERFLOW = 745.2
-# Bandwidths per exponential call over a block's whole window.
-_LSCV_BATCH = 4
+# Rows per block of the cross-validation pairs, for at most about
+# _LSCV_PAIRS pairs: a block's two buffers stay in a core's cache.
+_LSCV_BLOCK = 128
+_LSCV_PAIRS = 2 ** 18
+# The score leaves out only pairs past d^2/4h^2 = ln n + _LSCV_CUT.
+_LSCV_CUT = 37.0
 
 
 def _usable_cpus() -> int:
@@ -122,7 +121,9 @@ def silverman_bandwidth(sample: Sample) -> float:
     """Normal-reference bandwidth 1.06 sigma n^(-1/5)."""
     sd = float(np.std(sample.observations, ddof=1))
     if sd == 0.0:
-        raise ValueError("degenerate sample: zero variance")
+        raise ValueError("degenerate sample: " + (
+            "zero variance" if np.ptp(sample.observations) == 0.0 else
+            "spread too small for a float64 variance"))
     return 1.06 * sd * sample.n ** (-0.2)
 
 
@@ -136,44 +137,43 @@ def bandwidth_grid(sample: Sample) -> np.ndarray:
 
 def _lscv_scores(x: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Cross-validation scores of the sorted sample ``x`` at each
-    bandwidth of ``hs``, from the pairs i < j in blocks of rows."""
+    bandwidth of ``hs``, from the pairs i < j in blocks of rows, each
+    bandwidth one pass over a prefix of the block's squared differences.
+
+    A pair is left out at bandwidth h only when d^2/4h^2 > q = ln n + 37,
+    so at most n(n-1)/2 terms below exp(-q) < 2^-53 / n (and their squares
+    in s2) move the numerator n + 2 s1 of ``quad``, by under n 2^-53.
+    """
     n = len(x)
-    four_h2 = 4.0 * hs * hs
-    reach = 2.0 * hs * math.sqrt(_EXP_UNDERFLOW)
+    reach = 2.0 * hs * math.sqrt(math.log(n) + _LSCV_CUT)
+    scale = -0.25 / (hs * hs)  # exp(-d^2/4h^2) = exp(d^2 * scale)
+    step = max(1, min(_LSCV_BLOCK, _LSCV_PAIRS // n))
 
     def block(r0):
         """Row 0 sums exp(-d^2/4h^2) over the block's pairs at each
         bandwidth, row 1 its square exp(-d^2/2h^2)."""
-        r1 = min(r0 + _LSCV_BLOCK, n - 1)
-        # columns past ends[k] are out of reach of every row of the block
-        ends = np.searchsorted(x, x[r1 - 1] + reach, side="right") - (r0 + 1)
-        d2 = x[r0:r1, None] - x[None, r0 + 1:r0 + 1 + ends[-1]]
+        r1 = min(r0 + step, n - 1)
+        # pairs j > i of rows i in [r0, r1): those with j <= r1, then each
+        # later column; columns from stops[k] on are out of reach at h_k
+        i, j = np.triu_indices(r1 - r0)
+        stops = np.searchsorted(x, x[r1 - 1] + reach, side="right")
+        d2 = np.concatenate([x[r0 + 1 + j] - x[r0 + i],
+                             (x[r1 + 1:stops[-1], None] - x[r0:r1]).ravel()])
         d2 *= d2
-        diag = d2[:, :r1 - r0]  # column c is j = r0 + 1 + c; keep j > i
-        diag[np.tri(*diag.shape, k=-1, dtype=bool)] = np.inf
-        sums = np.zeros((2, len(hs)))
-        # integral(fhat^2): pairwise Gaussian kernel at scale sqrt(2) h,
-        # i.e. exp(-d^2/4h^2); the leave-one-out sum needs the kernel at
-        # scale h, which is the square of the same exponential.
-        # The bandwidths that reach every column (a suffix of the grid)
-        # share one exponential call, a few at a time; each row's sum is
-        # np.sum of its own (rows, columns) array bit for bit.
-        full = int(np.searchsorted(ends, ends[-1]))
-        starts = [*range(full), *range(full, len(hs), _LSCV_BATCH)]
-        for g0, g1 in zip(starts, starts[1:] + [len(hs)]):
-            e = np.divide(d2[None, :, :ends[g1 - 1]],
-                          -four_h2[g0:g1, None, None])
+        ends = len(i) + (r1 - r0) * np.maximum(stops - (r1 + 1), 0)
+        work = np.empty_like(d2)  # one buffer for every bandwidth
+        sums = np.empty((2, len(hs)))
+        for k, end in enumerate(ends.tolist()):
+            e = work[:end]
+            np.multiply(d2[:end], scale[k], out=e)
             np.exp(e, out=e)
-            sums[0, g0:g1] = e.reshape(g1 - g0, -1).sum(axis=1)
+            sums[0, k] = e.sum()
             e *= e
-            sums[1, g0:g1] = e.reshape(g1 - g0, -1).sum(axis=1)
+            sums[1, k] = e.sum()
         return sums
 
-    s1 = np.zeros(len(hs))  # sum over pairs of exp(-d^2/4h^2)
-    s2 = np.zeros(len(hs))  # sum over pairs of its square, exp(-d^2/2h^2)
-    for b1, b2 in _in_parallel(block, range(0, n - 1, _LSCV_BLOCK)):
-        s1 += b1  # in block order, as a serial scan would add them
-        s2 += b2
+    # the block sums, added in block order as a serial scan would add them
+    s1, s2 = sum(_in_parallel(block, range(0, n - 1, step)))
     quad = (n + 2.0 * s1) / (n * n * 2.0 * hs * math.sqrt(math.pi))
     loo = 4.0 * s2 / (n * (n - 1) * hs * _SQRT_2PI)
     return quad - loo

@@ -25,6 +25,13 @@ from wavedens.kernel import (
 from wavedens.signals import Bumps, Gauss, mixture_gd, mixture_hk
 
 
+# Signals and sizes of the blocked score's checks.  At n = 1024 the score
+# runs several blocks of rows, the last of them partial; below, one block.
+SIGNALS = [mixture_gd(10), mixture_gd(70), mixture_hk(1), mixture_hk(2),
+           Bumps(), Gauss(0.5, 0.25)]
+SIZES = [2, 3, 64, 1024]
+
+
 def _pairwise_sq_diffs(x):
     """Squared differences over the strict upper triangle, flattened."""
     d = x[:, None] - x[None, :]
@@ -126,6 +133,14 @@ class TestFitKernel:
         with pytest.raises(ValueError, match="zero variance"):
             fit_kernel(Sample.from_data([1.0, 1.0, 1.0]))
 
+    def test_underflowing_variance_named(self):
+        # distinct values whose squared deviations underflow to 0.0
+        data = [0.0, 1e-170, 2e-170, 3e-170]
+        assert np.std(data, ddof=1) == 0.0
+        with pytest.raises(ValueError, match="spread too small for a "
+                                             "float64 variance"):
+            fit_kernel(Sample.from_data(data))
+
     def test_non_finite_score_rejected(self):
         # the data span overflows float64: no bandwidth can be selected
         with pytest.raises(ValueError, match="not finite"):
@@ -135,12 +150,11 @@ class TestFitKernel:
         sample = Sample.from_data(rng.normal(size=100))
         assert fit_kernel(sample) == fit_kernel(sample)
 
-    @pytest.mark.parametrize("signal", [mixture_gd(10), mixture_gd(70),
-                                        mixture_hk(2), Bumps()],
-                             ids=lambda s: s.name)
-    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("signal", SIGNALS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("n", SIZES)
     def test_scores_match_pairwise_reference(self, signal, n):
-        # the blocked, windowed scan sums the same terms in another order
+        # the blocked, windowed scan sums the same terms in another order,
+        # less the terms past its reach
         sample = signal.sample(7, n)
         fit = fit_kernel(sample)
         hs = np.array([h for h, _ in fit.cv_scores])
@@ -148,6 +162,24 @@ class TestFitKernel:
         assert_allclose([s for _, s in fit.cv_scores], want, rtol=1e-13)
         best = len(want) - 1 - int(np.argmin(want[::-1]))
         assert fit.bandwidth == hs[best]
+
+    @pytest.mark.parametrize("signal", [mixture_gd(70), mixture_hk(1)],
+                             ids=lambda s: s.name)
+    def test_dropped_terms_below_one_ulp(self, signal):
+        # every pair the score leaves out lies past ln n + _LSCV_CUT in
+        # d^2/4h^2; together those terms move the numerator n + 2 s1 of
+        # the score's first part by less than n 2^-53
+        n = 1024
+        sample = signal.sample(7, n)
+        d2 = _pairwise_sq_diffs(sample.observations)
+        cut = math.log(n) + kernel._LSCV_CUT
+        dropped_any = False
+        for h in bandwidth_grid(sample):
+            q = d2 / (4.0 * h * h)
+            dropped = math.fsum(np.exp(-q[q > cut]))
+            assert 2.0 * dropped < n * 2.0 ** -53
+            dropped_any |= bool(np.any(q > cut))
+        assert dropped_any
 
     def test_memory_stays_linear(self, monkeypatch):
         # the pairwise reference would hold 8.4M-entry arrays (~450 MB);
@@ -310,10 +342,8 @@ class TestThreads:
         """Set the thread count for the rest of the test."""
         return lambda w: monkeypatch.setattr(kernel, "_WORKERS", w)
 
-    @pytest.mark.parametrize("signal", [mixture_gd(10), mixture_gd(70),
-                                        mixture_hk(2), Bumps()],
-                             ids=lambda s: s.name)
-    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("signal", SIGNALS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("n", SIZES)
     def test_thread_count_does_not_change_results(self, signal, n, workers):
         # one thread is the serial scan; the block sums are added in block
         # order whichever thread computed them
