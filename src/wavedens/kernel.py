@@ -14,12 +14,19 @@ The fitted density sums, at each point, only the observations within
 ``_REACH`` bandwidths, so it is exactly 0 outside ``support_hull()``; each
 term it drops is below exp(-_REACH^2 / 2) times the kernel's peak.
 
+Against a mixture of normals the estimate scores itself in closed form
+(``KernelEstimate.exact_ise``), from integral(fhat^2), which the score
+computes anyway, and one pass over the sample per component, so the ISE
+needs no evaluation on a grid.
+
 The blocks of the score and the chunks of the evaluation are independent,
 so they run on up to min(2, usable CPUs) threads: the caller's and one
 of a thread pool created for the call and shut down before it returns,
 both in the caller's numpy error state (a context variable from numpy 2
-on).  The block sums are added in block order and each chunk writes only
-its own values, so scores, bandwidths and densities do not depend on the
+on).  Each thread claims the next unclaimed block or chunk, so the
+threads finish together although the blocks shrink along the sample.
+The block sums are added in block order and each chunk writes only its
+own values, so scores, bandwidths and densities do not depend on the
 thread count.
 """
 
@@ -52,6 +59,11 @@ _LSCV_BLOCK = 128
 _LSCV_PAIRS = 2 ** 18
 # The score leaves out only pairs past d^2/4h^2 = ln n + _LSCV_CUT.
 _LSCV_CUT = 37.0
+# The closed-form ISE stands only above this many times its rounding bound
+# eps (F + 2 G + Q): its terms F, G and Q, each off by a few ulps, then put
+# a relative error under a few times 2^-30 on it.
+_EXACT_MARGIN = 2.0 ** 30
+_EPS = float(np.finfo(float).eps)
 
 
 def _usable_cpus() -> int:
@@ -67,43 +79,78 @@ _WORKERS = min(2, _usable_cpus())
 
 
 def _in_parallel(fn, items) -> list:
-    """``[fn(i) for i in items]``, in item order.  Worker ``w`` of ``W``
-    takes items ``w, w + W, ...``; the caller is worker 0, and the others
-    run on a pool created here, each in a copy of the caller's context, so
-    the caller's ``np.errstate`` holds there too.  The pool is shut down
-    before this returns, and an error in a worker is raised here."""
+    """``[fn(i) for i in items]``, in item order.  Each worker claims the
+    next unclaimed item until none is left; the caller is one worker, and
+    the others run on a pool created here, each in a copy of the caller's
+    context, so the caller's ``np.errstate`` holds there too.  The pool is
+    shut down before this returns, and an error in a worker is raised
+    here."""
     items = list(items)
     w = min(_WORKERS, len(items))
     if w < 2:
         return [fn(i) for i in items]
 
-    # imported here: it loads logging, and only a parallel call needs it
+    # imported here: the pool module loads logging, and only a parallel
+    # call needs it
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    def share(k):
-        return [fn(i) for i in items[k::w]]
-
     out = [None] * len(items)
+    claims = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                k = next(claims, None)
+            if k is None:
+                return
+            out[k] = fn(items[k])
+
     with ThreadPoolExecutor(w - 1) as pool:
-        others = [pool.submit(contextvars.copy_context().run, share, k)
-                  for k in range(1, w)]
-        out[0::w] = share(0)
-        for k, done in enumerate(others, start=1):
-            out[k::w] = done.result()
+        others = [pool.submit(contextvars.copy_context().run, work)
+                  for _ in range(1, w)]
+        work()
+        for done in others:
+            done.result()
     return out
 
 
 @dataclass(frozen=True)
 class KernelEstimate:
-    """Fitted kernel density: data, selected bandwidth and the full
-    cross-validation trace over the searched grid."""
+    """Fitted kernel density: data, selected bandwidth, the full
+    cross-validation trace over the searched grid and integral(fhat^2)."""
 
     sample: Sample
     bandwidth: float
     cv_scores: tuple  # ((bandwidth, score), ...) over the whole grid
+    sq_integral: float  # integral(fhat^2), the score's quadratic term
 
     def evaluate(self, grid) -> np.ndarray:
         return eval_kernel(self, grid)
+
+    def exact_ise(self, signal) -> float | None:
+        """Closed-form integral((f - fhat)^2) against a mixture of normals:
+        F - 2 G + Q with F = integral f^2, G = integral f fhat and
+        Q = ``sq_integral``, each a sum of Gaussian convolutions,
+        integral N(a, s^2) N(b, t^2) = phi(a - b; s^2 + t^2).  None when
+        ``signal.normal_components`` is None, or when the value is not
+        above ``_EXACT_MARGIN`` times its rounding bound eps (F + 2 G + Q),
+        so that cancellation cannot have eaten it.  ``evaluate``'s window
+        is not applied; each term it drops is below exp(-_REACH^2 / 2)
+        times the kernel's peak."""
+        comps = signal.normal_components
+        if comps is None:
+            return None
+        x = self.sample.observations
+        h2 = self.bandwidth * self.bandwidth
+        ff = sum(wa * wb * _normal_pdf(ma - mb, sa * sa + sb * sb)
+                 for wa, ma, sa in comps for wb, mb, sb in comps)
+        ffhat = sum(w * float(np.mean(_normal_pdf(x - m, s * s + h2)))
+                    for w, m, s in comps)
+        value = ff - 2.0 * ffhat + self.sq_integral
+        bound = _EPS * (ff + 2.0 * ffhat + self.sq_integral)
+        return float(value) if value > _EXACT_MARGIN * bound else None
 
     def support_hull(self) -> tuple[float, float]:
         """Interval outside which the estimate is exactly zero."""
@@ -115,6 +162,11 @@ class KernelEstimate:
         """True when the selected bandwidth is the smallest or the largest
         one searched, so the score's minimum may lie outside the grid."""
         return self.bandwidth in (self.cv_scores[0][0], self.cv_scores[-1][0])
+
+
+def _normal_pdf(d, var):
+    """The N(0, var) density at ``d``."""
+    return np.exp(-0.5 * d * d / var) / math.sqrt(2.0 * math.pi * var)
 
 
 def silverman_bandwidth(sample: Sample) -> float:
@@ -135,10 +187,11 @@ def bandwidth_grid(sample: Sample) -> np.ndarray:
     return h0 * np.logspace(math.log10(lo), math.log10(hi), _GRID_SIZE)
 
 
-def _lscv_scores(x: np.ndarray, hs: np.ndarray) -> np.ndarray:
+def _lscv_scores(x: np.ndarray, hs: np.ndarray) -> tuple:
     """Cross-validation scores of the sorted sample ``x`` at each
-    bandwidth of ``hs``, from the pairs i < j in blocks of rows, each
-    bandwidth one pass over a prefix of the block's squared differences.
+    bandwidth of ``hs``, and their quadratic terms integral(fhat^2), from
+    the pairs i < j in blocks of rows, each bandwidth one pass over a
+    prefix of the block's squared differences.
 
     A pair is left out at bandwidth h only when d^2/4h^2 > q = ln n + 37,
     so at most n(n-1)/2 terms below exp(-q) < 2^-53 / n (and their squares
@@ -176,7 +229,7 @@ def _lscv_scores(x: np.ndarray, hs: np.ndarray) -> np.ndarray:
     s1, s2 = sum(_in_parallel(block, range(0, n - 1, step)))
     quad = (n + 2.0 * s1) / (n * n * 2.0 * hs * math.sqrt(math.pi))
     loo = 4.0 * s2 / (n * (n - 1) * hs * _SQRT_2PI)
-    return quad - loo
+    return quad - loo, quad
 
 
 def fit_kernel(sample: Sample) -> KernelEstimate:
@@ -185,13 +238,14 @@ def fit_kernel(sample: Sample) -> KernelEstimate:
     score (the data span overflows float64) raises ``ValueError``."""
     with np.errstate(over="ignore", invalid="ignore"):
         hs = bandwidth_grid(sample)
-        scores = _lscv_scores(sample.observations, hs)
+        scores, quad = _lscv_scores(sample.observations, hs)
     if not np.all(np.isfinite(scores)):
         raise ValueError("cross-validation score is not finite; the data "
                          "span overflows float64 arithmetic")
     best = len(scores) - 1 - int(np.argmin(scores[::-1]))
     return KernelEstimate(sample=sample, bandwidth=float(hs[best]),
-                          cv_scores=tuple(zip(map(float, hs), map(float, scores))))
+                          cv_scores=tuple(zip(map(float, hs), map(float, scores))),
+                          sq_integral=float(quad[best]))
 
 
 def eval_kernel(estimate: KernelEstimate, grid) -> np.ndarray:
@@ -222,12 +276,13 @@ def eval_kernel(estimate: KernelEstimate, grid) -> np.ndarray:
         def chunk_at(window):
             start, i0, i1 = window
             chunk = pts[start:start + _EVAL_CHUNK]
-            z = (chunk[:, None] - x[None, i0:i1]) / h
+            z = np.subtract.outer(chunk, x[i0:i1])
+            z /= h
             z *= z
-            near = z < _REACH * _REACH
+            far = z >= _REACH * _REACH
             z *= -0.5
             np.exp(z, out=z)
-            z *= near
+            np.putmask(z, far, 0.0)
             out[start:start + _EVAL_CHUNK] = norm * np.sum(z, axis=1)
 
         _in_parallel(chunk_at, zip(starts[busy].tolist(), i0[busy].tolist(),

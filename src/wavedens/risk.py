@@ -1,6 +1,8 @@
 """Integrated-squared-error computation and the Monte-Carlo studies.
 
-The realized error of an estimate against an analytic signal is a
+The realized error of an estimate against an analytic signal is the
+estimate's own closed form when it offers one: a kernel estimate does
+against a mixture of normals (gd(d) and Gauss).  Otherwise it is a
 trapezoidal integral of the squared difference on a uniform grid, plus an
 analytic remainder for the squared-density mass outside the grid.  A grid
 memoizes what depends on it alone (its points, each signal's pdf and
@@ -143,6 +145,12 @@ def ise(est, signal: TestSignal, grid: GridSpec) -> float:
     effective support and the estimate's hull; a violation raises
     :class:`GridCoverageError` naming the uncovered interval.
 
+    An estimate may also offer ``exact_ise(signal)``: a closed form, or
+    None when it has none that it can vouch for.  A
+    :class:`~wavedens.kernel.KernelEstimate` offers one against a mixture
+    of normals, unless cancellation could have eaten it, and is then not
+    evaluated on the grid.  Every other case takes the grid.
+
     The signal's pdf and tail term come from the grid's memo, and a
     :class:`DensityEstimate` reads and fills the memo's synthesis cells,
     so estimates scored on one grid object share that work.  The value
@@ -158,6 +166,9 @@ def ise(est, signal: TestSignal, grid: GridSpec) -> float:
             missing.append(f"[{grid.hi!r}, {req_hi!r}]")
         raise GridCoverageError(
             "grid does not cover required interval(s): " + ", ".join(missing))
+    exact = getattr(est, "exact_ise", lambda signal: None)(signal)
+    if exact is not None:
+        return exact
     x = grid.points()
     f, tail = grid._signal_terms(signal)
     if isinstance(est, DensityEstimate):

@@ -34,6 +34,8 @@ class TestSignal:
 
     name: str = ""
     effective_support: tuple[float, float] = (0.0, 1.0)
+    # ((weight, mean, sd), ...) when the density is a mixture of normals
+    normal_components: tuple | None = None
 
     def pdf(self, x):
         raise NotImplementedError
@@ -160,6 +162,10 @@ class Mixture(TestSignal):
         self.components = tuple(components)
         los, his = zip(*(c.bracket() for c in self.components))
         self.effective_support = (min(los), max(his))
+        if all(isinstance(c, _Normal) for c in self.components):
+            self.normal_components = tuple(
+                (float(w), c.mu, c.sigma)
+                for w, c in zip(self.weights, self.components))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

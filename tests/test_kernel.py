@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -162,6 +163,18 @@ class TestFitKernel:
         assert_allclose([s for _, s in fit.cv_scores], want, rtol=1e-13)
         best = len(want) - 1 - int(np.argmin(want[::-1]))
         assert fit.bandwidth == hs[best]
+
+    @pytest.mark.parametrize("signal", [mixture_gd(10), mixture_gd(70),
+                                        mixture_hk(2)], ids=lambda s: s.name)
+    @pytest.mark.parametrize("n", [2, 64, 1024])
+    def test_sq_integral_matches_all_pairs(self, signal, n):
+        # integral(fhat^2) = sum over all n^2 pairs of phi(X_i - X_j; 2 h^2)
+        fit = fit_kernel(signal.sample(7, n))
+        x, h = fit.sample.observations, fit.bandwidth
+        d = x[:, None] - x[None, :]
+        terms = np.exp(-d * d / (4.0 * h * h)).ravel()
+        want = math.fsum(terms.tolist()) / (n * n * 2.0 * h * math.sqrt(math.pi))
+        assert_allclose(fit.sq_integral, want, rtol=1e-13)
 
     @pytest.mark.parametrize("signal", [mixture_gd(70), mixture_hk(1)],
                              ids=lambda s: s.name)
@@ -367,16 +380,38 @@ class TestThreads:
             assert h == results[0][1]
             assert np.array_equal(values, results[0][2])
 
+    def test_each_item_claimed_once(self, workers):
+        # four threads, switching as often as they can
+        workers(4)
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = kernel._in_parallel(lambda i: calls.append(i) or i * i,
+                                      range(500))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [i * i for i in range(500)]
+        assert sorted(calls) == list(range(500))
+
     def test_caller_errstate_reaches_workers(self, workers):
         workers(2)
+        caller = threading.get_ident()
+        # neither thread gets past item 0 or 1 before the other holds the
+        # other one, so the started thread takes at least one item
+        meet = threading.Barrier(2, timeout=60)
+
+        def overflow_off_caller(i):
+            if i < 2:
+                meet.wait()
+            return np.exp(np.float64(1000.0 * (threading.get_ident() != caller)))
+
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
                 kernel._in_parallel(lambda i: np.exp(np.float64(1000.0)),
                                     range(4))
-            # items 1 and 3 run on the started thread, not the caller's
             with pytest.raises(FloatingPointError):
-                kernel._in_parallel(
-                    lambda i: np.exp(np.float64(1000.0 * (i % 2))), range(4))
+                kernel._in_parallel(overflow_off_caller, range(4))
         # a RuntimeWarning from any thread is an error under pytest's filter
         with np.errstate(over="ignore"):
             got = kernel._in_parallel(lambda i: np.exp(np.float64(1000.0)),

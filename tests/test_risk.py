@@ -1,12 +1,13 @@
 """Tests for the ISE computation and the Monte-Carlo sweeps."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavedens import estimator, risk
+from wavedens import estimator, kernel, risk
 from wavedens.basis import (
     TabulatedFunction,
     basis_by_name,
@@ -22,7 +23,7 @@ from wavedens.estimator import (
     practical_gamma,
     theoretical_gamma,
 )
-from wavedens.kernel import fit_kernel
+from wavedens.kernel import _lscv_scores, bandwidth_grid, fit_kernel
 from wavedens.risk import (
     METHODS,
     GridCoverageError,
@@ -140,6 +141,80 @@ class TestIse:
         est = estimate(sample, EstimatorConfig(basis=haar_basis(),
                                                mode=practical()))
         assert ise(est, sig, default_grid(sig, [est])) >= 0.0
+
+
+class _OnGrid:
+    """Test double: a kernel estimate that offers no exact score, so
+    :func:`ise` integrates it on the grid."""
+
+    def __init__(self, est):
+        self.evaluate = est.evaluate
+        self.support_hull = est.support_hull
+
+
+def _at_bandwidth(fit, k):
+    """``fit`` moved to the k-th bandwidth of its grid, with the
+    integral(fhat^2) of that bandwidth."""
+    x = fit.sample.observations
+    hs = bandwidth_grid(fit.sample)
+    quad = _lscv_scores(x, hs)[1]
+    return dataclasses.replace(fit, bandwidth=float(hs[k]),
+                               sq_integral=float(quad[k]))
+
+
+class TestKernelExactIse:
+    """A kernel estimate against a mixture of normals is scored in closed
+    form; everything else is integrated on the grid."""
+
+    @pytest.mark.parametrize("signal", [
+        mixture_gd(10), mixture_gd(70), Gauss(0.5, 0.25), Gauss(0.0, 1.0),
+        Gauss(0.3, 0.05)], ids=lambda s: s.name)
+    @pytest.mark.parametrize("n", [2, 3, 64, 1024])
+    @pytest.mark.parametrize("k", [0, 20], ids=["edge", "interior"])
+    def test_closed_form_equals_lattice(self, signal, n, k):
+        est = _at_bandwidth(fit_kernel(signal.sample(11, n)), k)
+        exact = est.exact_ise(signal)
+        assert exact is not None
+        assert ise(est, signal, default_grid(signal, [est])) == exact
+        # the lattice resolves a bandwidth of 8 steps or more; the smallest
+        # on Gauss(0.3, 0.05) spans about one default step
+        step = min(risk.DEFAULT_GRID_STEP,
+                   2.0 ** math.floor(math.log2(est.bandwidth / 8.0)))
+        grid = default_grid(signal, [est], step=step)
+        assert_allclose(exact, ise(_OnGrid(est), signal, grid), rtol=1e-12)
+
+    def test_grid_untouched(self, monkeypatch):
+        def no_eval(estimate, grid):
+            raise AssertionError("evaluated on the grid")
+
+        monkeypatch.setattr(kernel, "eval_kernel", no_eval)
+        signal = mixture_gd(30)
+        est = fit_kernel(signal.sample(2, 256))
+        grid = default_grid(signal, [est])
+        assert ise(est, signal, grid) > 0.0
+        assert not grid._memo
+
+    @pytest.mark.parametrize("signal", [mixture_hk(2), Bumps(), Uniform01()],
+                             ids=lambda s: s.name)
+    def test_lattice_without_normal_components(self, signal):
+        est = fit_kernel(signal.sample(4, 256))
+        assert est.exact_ise(signal) is None
+        grid = default_grid(signal, [est])
+        assert ise(est, signal, grid) == ise(_OnGrid(est), signal, grid)
+
+    def test_cancellation_falls_back_to_lattice(self):
+        # integral(fhat^2) shifted so that the closed form is about 0, or
+        # negative: rounding could have produced either, so the grid scores
+        signal = mixture_gd(10)
+        fit = fit_kernel(signal.sample(6, 256))
+        grid = default_grid(signal, [fit])
+        lattice = ise(_OnGrid(fit), signal, grid)
+        exact = fit.exact_ise(signal)
+        for shift in (exact, 2.0 * exact):
+            forced = dataclasses.replace(
+                fit, sq_integral=fit.sq_integral - shift)
+            assert forced.exact_ise(signal) is None
+            assert ise(forced, signal, grid) == lattice
 
 
 class TestMethods:

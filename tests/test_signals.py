@@ -112,6 +112,14 @@ class TestGaussAndMixtures:
         q = float(stats.t.ppf(1.0 - 1e-9 / 4.0, df))
         assert t.bracket() == (-q, q)
 
+    def test_normal_components(self):
+        # (weight, mean, sd) of a mixture of normals; None otherwise
+        assert mixture_gd(10).normal_components == ((0.5, 0.0, 1.0),
+                                                    (0.5, 10.0, 1.0))
+        assert Gauss(0.5, 0.25).normal_components == ((1.0, 0.5, 0.25),)
+        for other in (mixture_hk(2), signals.Bumps(), signals.Uniform01()):
+            assert other.normal_components is None
+
     def test_hk_weights_sum_validated(self):
         sig = mixture_hk(4)
         assert_allclose(np.sum(sig.weights), 1.0)
