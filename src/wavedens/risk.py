@@ -4,7 +4,8 @@ The realized error of an estimate against an analytic signal is the
 estimate's own closed form when it offers one: a kernel estimate does
 against a mixture of normals (gd(d) and Gauss).  Otherwise it is a
 trapezoidal integral of the squared difference on a uniform grid, plus an
-analytic remainder for the squared-density mass outside the grid.  A grid
+analytic remainder for the squared-density mass outside the grid.  A score
+that is not finite raises: no sweep reports an infinite or NaN error.  A grid
 memoizes what depends on it alone (its points, each signal's pdf and
 remainder there, each synthesis cell's values there), and a replication
 scores all methods whose grids are equal on one grid object, so that work
@@ -154,7 +155,8 @@ def ise(est, signal: TestSignal, grid: GridSpec) -> float:
     The signal's pdf and tail term come from the grid's memo, and a
     :class:`DensityEstimate` reads and fills the memo's synthesis cells,
     so estimates scored on one grid object share that work.  The value
-    does not depend on what the memo already holds.
+    does not depend on what the memo already holds.  A value that is not
+    finite raises ``ValueError`` naming the signal, the value and the grid.
     """
     req_lo, req_hi = _required_interval(signal, [est])
     tol = 1e-9
@@ -166,18 +168,22 @@ def ise(est, signal: TestSignal, grid: GridSpec) -> float:
             missing.append(f"[{grid.hi!r}, {req_hi!r}]")
         raise GridCoverageError(
             "grid does not cover required interval(s): " + ", ".join(missing))
-    exact = getattr(est, "exact_ise", lambda signal: None)(signal)
-    if exact is not None:
-        return exact
-    x = grid.points()
-    f, tail = grid._signal_terms(signal)
-    if isinstance(est, DensityEstimate):
-        fhat = est.evaluate(x, cells=grid._memo.setdefault("cells", {}))
-    else:  # another estimate's values are not ours to overwrite
-        fhat = np.array(est.evaluate(x), dtype=float)
-    np.subtract(f, fhat, out=fhat)  # (f - fhat)^2 in place
-    fhat *= fhat
-    return float(np.trapezoid(fhat, dx=grid.step)) + tail
+    value = getattr(est, "exact_ise", lambda signal: None)(signal)
+    if value is None:
+        x = grid.points()
+        f, tail = grid._signal_terms(signal)
+        if isinstance(est, DensityEstimate):
+            fhat = est.evaluate(x, cells=grid._memo.setdefault("cells", {}))
+        else:  # another estimate's values are not ours to overwrite
+            fhat = np.array(est.evaluate(x), dtype=float)
+        np.subtract(f, fhat, out=fhat)  # (f - fhat)^2 in place
+        fhat *= fhat
+        value = float(np.trapezoid(fhat, dx=grid.step)) + tail
+    if not math.isfinite(value):
+        raise ValueError(f"ISE against {signal.name} is not finite ({value!r}) "
+                         f"on the grid [{grid.lo!r}, {grid.hi!r}] at step "
+                         f"{grid.step!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +192,9 @@ def ise(est, signal: TestSignal, grid: GridSpec) -> float:
 @dataclass(frozen=True)
 class MethodSpec:
     """One estimation method in a sweep: a wavelet basis/threshold pair or
-    the cross-validated kernel baseline."""
+    the cross-validated kernel baseline.  :meth:`fit` is the one place that
+    maps a kind to its fitter; an unknown kind raises when the spec is
+    built."""
 
     code: str
     kind: str  # "wavelet" | "kernel"
@@ -194,10 +202,25 @@ class MethodSpec:
     mode: Optional[Mode] = None
     parameter: Optional[float] = None
 
+    def __post_init__(self):
+        kinds = ("wavelet", "kernel")
+        if self.kind not in kinds:
+            raise ValueError(f"unknown method kind {self.kind!r}; valid "
+                             f"kinds: {', '.join(kinds)}")
+
     def config(self) -> EstimatorConfig:
         if self.kind != "wavelet":
             raise ValueError("only wavelet methods carry an estimator config")
         return EstimatorConfig(basis=basis_by_name(self.basis_name), mode=self.mode)
+
+    def fit(self, sample):
+        """The method's estimate of ``sample``: an object offering
+        ``evaluate``, ``support_hull`` and optionally ``exact_ise``.  The
+        fitters are looked up when called, so a wrapper installed on
+        ``risk.estimate`` or ``kernel.fit_kernel`` sees every fit."""
+        if self.kind == "kernel":
+            return kernel_mod.fit_kernel(sample)
+        return estimate(sample, self.config())
 
 
 # one frozen spec per method code, shared by every lookup, in CLI order
@@ -274,12 +297,7 @@ def _run_replication(signal, n, methods, master_seed, rep):
     grids = {}
     out = []
     for m in methods:
-        if m.kind == "wavelet":
-            est = estimate(sample, m.config())
-        elif m.kind == "kernel":
-            est = kernel_mod.fit_kernel(sample)
-        else:
-            raise ValueError(f"unknown method kind {m.kind!r}")
+        est = m.fit(sample)
         grid = default_grid(signal, [est])
         out.append(ise(est, signal, grids.setdefault(grid, grid)))
     return out

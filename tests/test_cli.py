@@ -522,6 +522,17 @@ class TestCalibrateCommand:
         assert "gamma must be finite, got inf" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_non_finite_ise_exit_2(self, tmp_path, capsys):
+        # the pdf of a 1e-300-wide normal overflows on the ISE grid
+        out = tmp_path / "cal"
+        with pytest.warns(RuntimeWarning):
+            rc = main(["calibrate", "--signal", "gauss", "--sigma", "1e-300",
+                       "--n", "64", "--gammas", "1", "--reps", "1",
+                       "-o", str(out)])
+        assert rc == 2
+        assert "not finite" in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == []
+
     @pytest.mark.parametrize("text, count", [
         ("0.25:2:0.25", 8), ("0:1:1.0001e-4", 10000), ("1:1:1", 1)])
     def test_gamma_range_length(self, text, count):

@@ -1,8 +1,9 @@
 """Every name a module exports exists in it, so a deleted function cannot
 linger as an export.  Every export is also read by the library, the
 benchmark or an acceptance criterion, and every private module-level name
-by the library, so none lives for its tests alone.  Records that hold
-arrays compare by identity."""
+by the library, so none lives for its tests alone.  Only ``MethodSpec``
+compares a value with a method kind.  Records that hold arrays compare by
+identity."""
 
 import ast
 import dataclasses
@@ -78,6 +79,32 @@ def test_every_private_name_is_read_by_the_library():
     assert len(private) > 40  # the walk found the modules' helpers
     reached = _used_names(files)
     assert sorted(n for n in private if n.split(".")[1] not in reached) == []
+
+
+_METHOD_KINDS = {"wavelet", "kernel"}
+
+
+def _holds_kind(node) -> bool:
+    """``node`` is a method-kind string, or a literal tuple, list or set
+    holding one."""
+    items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return any(isinstance(i, ast.Constant) and i.value in _METHOD_KINDS
+               for i in items)
+
+
+def test_only_method_spec_branches_on_kind():
+    # MethodSpec.fit owns the map from a method kind to its fitter; a
+    # comparison with a kind string anywhere else is a second copy of it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(n) for c in ast.walk(tree)
+                 if isinstance(c, ast.ClassDef) and c.name == "MethodSpec"
+                 for n in ast.walk(c)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and id(node) not in owner
+                  and any(map(_holds_kind, [node.left, *node.comparators]))]
+    assert found == []
 
 
 def test_records_holding_arrays_compare_by_identity():

@@ -142,6 +142,17 @@ class TestIse:
                                                mode=practical()))
         assert ise(est, sig, default_grid(sig, [est])) >= 0.0
 
+    def test_non_finite_raises(self):
+        # the pdf of a 1e-300-wide normal overflows on the grid
+        sig = Gauss(0.5, 1e-300)
+        est = method_from_code("H").fit(sig.sample(1, 64))
+        grid = default_grid(sig, [est])
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                ValueError, match=r"^ISE against gauss\(0\.5,1e-300\) is not "
+                r"finite \(inf\) on the grid \[-1\.0, 2\.0\] at step "
+                r"0\.0009765625$"):
+            ise(est, sig, grid)
+
 
 class _OnGrid:
     """Test double: a kernel estimate that offers no exact score, so
@@ -231,6 +242,26 @@ class TestMethods:
             "S*", "wavelet", "spline", practical_gamma(0.5))
         assert method_from_code("K") == MethodSpec("K", "kernel")
         assert all(method_from_code(c) is spec for c, spec in METHODS.items())
+
+    def test_unknown_kind_raises_at_construction(self):
+        with pytest.raises(ValueError, match=r"'bogus'.*wavelet.*kernel"):
+            MethodSpec("Z", "bogus")
+
+    @pytest.mark.parametrize("spec", [
+        *METHODS.values(),
+        MethodSpec("P", "wavelet", "spline", practical_gamma(0.75)),
+        MethodSpec("T", "wavelet", "haar", theoretical_gamma(0.5))],
+        ids=lambda m: m.code)
+    def test_fit_is_the_kinds_fitter(self, spec):
+        sample = mixture_gd(10).sample(5, 256)
+        fitted = spec.fit(sample)
+        if spec.kind == "kernel":
+            direct = fit_kernel(sample)
+            assert fitted.bandwidth == direct.bandwidth
+            assert fitted.cv_scores == direct.cv_scores
+            assert fitted.sq_integral == direct.sq_integral
+        else:
+            assert fitted == estimate(sample, spec.config())
 
     def test_unknown_code_lists_valid(self):
         with pytest.raises(ValueError,
@@ -428,8 +459,7 @@ class TestGridMemo:
         reports = mise_sweep(signal, n, methods, 1, master)
         sample = signal.sample(replication_seed(master, 0), n)
         for m, report in zip(methods, reports):
-            est = (fit_kernel(sample) if m.kind == "kernel"
-                   else estimate(sample, m.config()))
+            est = m.fit(sample)
             lone = ise(est, signal, default_grid(signal, [est]))
             assert report.ise_values[0] == lone, m.code
 
