@@ -3,9 +3,11 @@
 Empirical coefficients are computed on the piecewise-constant analysis
 side, each one is compared against a fully data-driven threshold, and the
 survivors reconstruct the density through the smooth synthesis side.  No
-assumption on the support of the density is needed: at each level only the
-translates whose analysis support meets the data range are scanned, and
-cells whose empirical coefficient is exactly zero are dropped.
+assumption on the support of the density is needed: the analysis functions
+are constant on dyadic bins, so each coefficient depends on the sample only
+through its bin counts, and the level scan visits only the translates the
+occupied bins reach.  It sums each cell exactly, rounds once, and drops the
+cells whose empirical coefficient is exactly zero.
 
 Three threshold rules are provided:
 
@@ -176,11 +178,15 @@ class KeptCoefficient(NamedTuple):
     threshold: float
 
 
-def _unbiased_variance(s1, s2, n):
+def _unbiased_variance(s1, s2, n, out=None):
     """Unbiased variance of ``n`` summands from their sum ``s1`` and sum of
-    squares ``s2``: ``max(0, (s2 - s1^2/n) / (n - 1))``, elementwise.  The
-    level scan and :func:`variance_hat` both use it."""
-    return np.maximum(0.0, (s2 - s1 * s1 / n) / (n - 1))
+    squares ``s2``: ``max(0, (s2 - s1^2/n) / (n - 1))``, elementwise, into
+    ``out`` when given (which may be ``s2``).  The level scan and
+    :func:`variance_hat` both use it."""
+    mean_square = s1 * s1
+    mean_square /= n
+    spread = np.subtract(s2, mean_square, out=out)
+    return np.maximum(0.0, np.divide(spread, n - 1, out=out), out=out)
 
 
 def variance_hat(values) -> float:
@@ -235,136 +241,326 @@ def threshold(cell, n, mode: Mode) -> float:
 # ---------------------------------------------------------------------------
 # level scan
 
-# (level, observation) pairs per batch of the level scan.  Measured on
-# 2-CPU hosts at n = 1024..16384: 2^14 was fastest or within 3% of it,
-# 2^15 and 2^16 were slower from n = 4096 on (their slot arrays leave the
-# cache), and smaller batches were slower at n = 1024.
-_SCAN_PAIRS = 2 ** 14
+# Bins per accumulation pass: consecutive levels that share one analysis
+# function take one pass while their bins add up to at most this many,
+# and a level with more bins takes a pass alone.
+_SCAN_BINS = 2 ** 14
+
+# The float piece assignment (t = 2^j x, frac = t - floor(t), u = frac - c
+# for the integer offsets c, here -2..2) rounds frac only for -1/2 < t < 0
+# and u only where |t| < 2, by less than 2^-51 in all.  So it can move u
+# onto another piece or onto the support's closed end only where t lies
+# within 2^-51 of a half-integer in [-2, 2]; the scan keeps it for the
+# observations within _NEAR of one, and bins every other observation.
+_NEAR = 2.0 ** -50
+_HALF_INTEGERS = np.arange(-4, 5) / 2.0
 
 
-def _scan_batches(basis: BiorthogonalBasis, levels, n: int) -> list:
-    """``levels`` cut into runs of consecutive levels that share one
-    analysis function, each of at most max(1, _SCAN_PAIRS // n) levels:
-    ``[(step_fn, [(j, amp, scale), ...]), ...]``."""
-    size = max(1, _SCAN_PAIRS // n)
-    batches = []
-    for j in levels:
-        step_fn, amp, scale = level_function(basis, j)
-        if (not batches or batches[-1][0] is not step_fn
-                or len(batches[-1][1]) == size):
-            batches.append((step_fn, []))
-        batches[-1][1].append((j, amp, scale))
-    return batches
+def _last_of_runs(v: np.ndarray) -> np.ndarray:
+    """Mask of the last entry of each run of equal values in ``v``."""
+    last = np.empty(len(v), dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=last[:-1])
+    last[-1:] = True
+    return last
 
 
-def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, levels):
+def _dyadic_bins(x: np.ndarray, exponents) -> list:
+    """The sorted sample's bins ``floor(2^e x)`` for each exponent e, as
+    ``(bins, ends, lattice_bins, lattice_counts)``: the occupied bins
+    ascending, where each bin's run of observations ends, and the bins
+    that hold observations on their left end ``bin / 2^e``, with how many.
+
+    Only the finest exponent reads the sample: a coarser bin is a finer
+    one shifted right, and a coarser lattice point is a finer one whose
+    shifted bits are zero.  ``2^e x`` is exact, and so is its floor, while
+    it stays below 2^53, which the scan's guard keeps."""
+    out = [None] * len(exponents)
+    order = sorted(range(len(exponents)), key=exponents.__getitem__,
+                   reverse=True)
+    e = exponents[order[0]]
+    y = x * 2.0 ** e
+    floor = np.floor(y)
+    on = np.flatnonzero(y == floor)
+    fine = y.view(np.int64)  # the bins take the place of 2^e x
+    np.copyto(fine, floor, casting="unsafe")
+    del y, floor
+    last = _last_of_runs(fine)
+    bins, ends = fine[last], np.flatnonzero(last) + 1
+    lattice_bins, lattice_counts = np.unique(fine[on], return_counts=True)
+    del fine, last, on
+    for i in order:
+        d, e = e - exponents[i], exponents[i]
+        if d:
+            shifted = bins >> d
+            last = _last_of_runs(shifted)
+            bins, ends = shifted[last], ends[last]
+        if d and len(lattice_bins):
+            keep = (lattice_bins & ((1 << d) - 1)) == 0
+            lattice_bins = lattice_bins[keep] >> d
+            lattice_counts = lattice_counts[keep]
+        out[i] = bins, ends, lattice_bins, lattice_counts
+    return out
+
+
+class _Level(NamedTuple):
+    """One level of a scan pass: ``psi_jk(x) = amp * f(scale * x - k)``
+    and its bins ``floor(2^e x)`` from :func:`_dyadic_bins`."""
+
+    amp: float
+    scale: float
+    e: int
+    bins: np.ndarray
+    ends: np.ndarray
+    lattice_bins: np.ndarray
+    lattice_counts: np.ndarray
+
+
+def _piece_lattice(step_fn) -> tuple:
+    """``(m, first, P)``: the P pieces of ``step_fn`` have width 2^-m and
+    left ends ``(first + q) / 2^m``."""
+    bp = step_fn.breakpoints
+    width = float(bp[1] - bp[0])
+    return 1 - math.frexp(width)[1], int(bp[0] / width), len(bp) - 1
+
+
+def _exact_sum(terms, out: np.ndarray, tmp: np.ndarray) -> None:
+    """``out = sum(w * view for w, view in terms)``.  The views hold counts
+    and the weights are multiples of 1/64, so every partial sum is exact
+    and any grouping gives the same bits: the terms of one magnitude are
+    added first and scaled once."""
+    groups = {}
+    for w, view in terms:
+        groups.setdefault(abs(w), []).append((w, view))
+    acc = out
+    for mag, group in groups.items():
+        group.sort(key=lambda term: term[0] < 0)  # positive weights first
+        sign = 1.0 if group[0][0] > 0 else -1.0
+        total = group[0][1]
+        for w, view in group[1:]:
+            total = (np.add if (w > 0) == (sign > 0) else np.subtract)(
+                total, view, out=acc)
+        if total is not acc or sign * mag != 1.0:
+            np.multiply(total, sign * mag, out=acc)
+        if acc is not out:
+            out += acc
+        acc = tmp
+
+
+def _take_near(x, step_fn, levels, starts, counts, lattice_counts) -> tuple:
+    """Take the observations near a half-integer (see ``_NEAR``) out of the
+    pass's bin ``counts`` and ``lattice_counts`` and give them the float
+    assignment: ``(near_at, near_terms)``, the pass-wide indices of their
+    bins and their ``(bin index, translate, value)`` terms, per level."""
+    scales = np.array([level.scale for level in levels])[:, None]
+    lo = np.searchsorted(x, (_HALF_INTEGERS - _NEAR) / scales, side="left")
+    hi = np.searchsorted(x, (_HALF_INTEGERS + _NEAR) / scales, side="right")
+    a, b = step_fn.support
+    near_at, near_terms = [], []
+    for i in np.flatnonzero((hi > lo).any(axis=1)).tolist():
+        level = levels[i]
+        xn = x[np.concatenate([np.arange(i0, i1) for i0, i1 in
+                               zip(lo[i].tolist(), hi[i].tolist())])]
+        y = xn * 2.0 ** level.e
+        bn = np.floor(y)
+        at = starts[i] + np.searchsorted(level.bins, bn.astype(np.int64))
+        taken, times = np.unique(at, return_counts=True)
+        counts[taken] -= times
+        on = bn[y == bn].astype(np.int64)
+        if len(on):
+            where, times = np.unique(
+                np.searchsorted(level.lattice_bins, on), return_counts=True)
+            lattice_counts[i] = lattice_counts[i].copy()
+            lattice_counts[i][where] -= times
+        near_at.append(taken)
+        t = xn * level.scale
+        base = np.floor(t)
+        frac = t - base
+        base = base.astype(np.int64)
+        for c in range(math.ceil(-b), math.floor(1.0 - a) + 1):
+            u = frac - c
+            inside = (u >= a) & (u <= b)
+            near_terms.append((at[inside], base[inside] + c,
+                               step_fn.pieces(u[inside])))
+    return near_at, near_terms
+
+
+def _cell_sums(x: np.ndarray, step_fn, levels) -> list:
+    """One accumulation pass over consecutive levels (:class:`_Level`)
+    that share the analysis function ``step_fn``: ``(ks, s1, s2)`` per
+    level.
+
+    The pieces have width 2^-m and left ends ``(first + q) / 2^m``, so bin
+    ``B`` (``rel = B - first``) holds piece ``q = 2^m i + (rel & mask)``
+    of translate ``(rel >> m) - i`` for each i with q < P, and its lattice
+    point reaches the closed right end of translate ``(rel - P) / 2^m``
+    when that is an integer.  Each bin's translates are an interval.  The
+    bins of the pass, level after level, take compact slots: a translate
+    sits at its bin's slot less its offset, touching intervals keep their
+    distance, and a gap between intervals shrinks to nothing, so slots
+    ascend with the translates and no two levels share one.  The counts
+    fill one plane per ``rel & mask`` at the bins' slots, and a few
+    shifted slice-adds of the planes give every translate's sums
+    ``R1 = sum v_q count_q`` and ``R2 = sum v_q^2 count_q``, exactly: the
+    values are multiples of 1/8.  The sums returned are ``amp * R1`` and
+    ``(amp * amp) * R2``, each rounded once."""
+    a, b = step_fn.support
+    m, first, pieces = _piece_lattice(step_fn)
+    # _NEAR holds for the offsets -2..2, and bins index whole pieces
+    if math.ceil(-b) < -2 or math.floor(1.0 - a) > 2 or m < 0:
+        raise ValueError("the level scan needs an analysis function "
+                         "supported in (-2, 3), with pieces of width 1 "
+                         "or less")
+    mask = (1 << m) - 1
+    most = (pieces - 1) >> m  # translates a bin's pieces reach below its own
+    end_at, end_parity = pieces >> m, pieces & mask
+    n = len(x)
+    starts = np.cumsum([0, *(len(level.bins) for level in levels)])
+    rel = np.concatenate([level.bins for level in levels])
+    ends = np.concatenate([level.ends for level in levels])
+    counts = ends.copy()
+    counts[1:] -= ends[:-1]
+    counts[starts[1:-1]] += n  # each level's run ends restart at 0
+    del ends
+    lattice_counts = [level.lattice_counts for level in levels]
+    near_at, near_terms = _take_near(x, step_fn, levels, starts, counts,
+                                     lattice_counts)
+    rel -= first
+    parity = rel & mask
+    kappa = np.right_shift(rel, m, out=rel)
+    # a bin's pieces reach the translates kappa - below .. kappa.  Its
+    # lattice point, when it reaches a closed end, and a near
+    # observation's float terms reach down to kappa - (P - parity) >> m;
+    # those terms also reach kappa + 1 when rel + 1 is a multiple of 2^m.
+    # Both ends ascend with the bins.
+    below = (pieces - 1) - parity
+    below >>= m
+    lattice = [(starts[i] + np.searchsorted(level.bins, level.lattice_bins),
+                lattice_counts[i])
+               for i, level in enumerate(levels) if len(level.lattice_bins)]
+    if lattice:
+        lat_at, lat_counts = (np.concatenate(col) for col in zip(*lattice))
+        reaches_end = parity[lat_at] == end_parity
+        lat_at, lat_counts = lat_at[reaches_end], lat_counts[reaches_end]
+        below[lat_at] = end_at
+    highest = kappa
+    if near_at:
+        near_at = np.concatenate(near_at)
+        below[near_at] = (pieces - parity[near_at]) >> m
+        highest = kappa.copy()
+        highest[near_at] += (parity[near_at] + 1) >> m
+    lowest = np.subtract(kappa, below, out=below)
+    # shift = translate - slot: it grows by each gap between intervals,
+    # and at a new level by whatever puts its first slot next
+    skip = lowest[1:] - highest[:-1]
+    skip -= 1
+    new_level = starts[1:-1] - 1
+    level_skip = skip[new_level]
+    np.maximum(skip, 0, out=skip)
+    skip[new_level] = level_skip
+    shift = np.empty(len(kappa), dtype=np.int64)
+    shift[0] = lowest[0]
+    shift[1:] = skip
+    del skip
+    np.cumsum(shift, out=shift)
+    size = int(highest[-1] - shift[-1]) + 1
+    level_slots = (lowest[starts[:-1]] - shift[starts[:-1]]).tolist()
+    runs = np.concatenate([[0], np.flatnonzero(shift[1:] != shift[:-1]) + 1])
+    run_slots = lowest[runs] - shift[runs]
+    run_slots[:-1] -= run_slots[1:]
+    run_slots[-1] -= size
+    slot_shift = shift[runs].repeat(-run_slots)
+    del lowest, highest, runs
+    slot = np.subtract(kappa, shift, out=kappa)
+    span = size + most
+    planes = np.zeros((mask + 1) * span)
+    at = parity * span
+    at += slot
+    planes[at] = counts
+    del at, parity, counts
+    terms = [(v, planes[(q & mask) * span + (q >> m):][:size])
+             for q, v in enumerate(step_fn.values.tolist())]
+    s1, s2, tmp = np.empty(size), np.empty(size), np.empty(size)
+    _exact_sum(terms, s1, tmp)
+    _exact_sum([(v * v, view) for v, view in terms], s2, tmp)
+    del planes, terms, tmp
+    if lattice:
+        end_value = float(step_fn.values[-1])
+        at = slot[lat_at] - end_at
+        s1[at] += end_value * lat_counts
+        s2[at] += (end_value * end_value) * lat_counts
+    if near_terms:
+        at, ks, v = (np.concatenate(col) for col in zip(*near_terms))
+        at, where = np.unique(ks - shift[at], return_inverse=True)
+        s1[at] += np.bincount(where, weights=v)
+        s2[at] += np.bincount(where, weights=v * v)
+    del slot, shift
+    # a slot no bin reached keeps its zero, and a translate whose terms
+    # cancel sums to an exact zero: both are left out
+    cells = np.flatnonzero(s1)
+    # compact into the heads of the pass's own arrays, so that the sums
+    # kept for the table allocate nothing new
+    ks = np.take(slot_shift, cells, out=slot_shift[:len(cells)])
+    ks += cells
+    s1 = np.take(s1, cells, out=s1[:len(cells)])
+    s2 = np.take(s2, cells, out=s2[:len(cells)])
+    bounds = [0, *np.searchsorted(cells, level_slots[1:]).tolist(),
+              len(cells)]
+    out = []
+    for level, i0, i1 in zip(levels, bounds[:-1], bounds[1:]):
+        s1[i0:i1] *= level.amp
+        s2[i0:i1] *= level.amp * level.amp
+        out.append((ks[i0:i1], s1[i0:i1], s2[i0:i1]))
+    return out
+
+
+def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, levels) -> list:
     """Exact per-cell sums, level by level.
 
-    Yields ``(ks, s1, s2)`` for each of ``levels``, over the integer
-    translates ``ks`` (ascending) whose sum is nonzero:
-    ``s1 = sum psi_jk(X_i)`` and ``s2 = sum psi_jk(X_i)^2``.  A translate
-    no observation reaches, or whose terms sum to exactly zero, has a zero
-    empirical coefficient and is not yielded.
+    ``(ks, s1, s2)`` for each of ``levels``, over the integer translates
+    ``ks`` (ascending) whose sum is nonzero: ``s1 = sum psi_jk(X_i)`` and
+    ``s2 = sum psi_jk(X_i)^2``.  A translate no observation reaches, or
+    whose terms cancel exactly, has a zero empirical coefficient and is
+    left out.
 
-    ``x`` must be sorted.  The levels run in batches of consecutive levels
-    that share one analysis function, at most max(1, _SCAN_PAIRS // n)
-    levels each; a batch's m levels fill (m, n) arrays, row by row.
-    Observation i meets translate ``r_i + c``, ``r_i = floor(2^j x_i)``,
-    for offsets c that span W integers from ``c_min``.  Each run of equal
-    bases gets a compact slot ``z``: 0 for the first run, then the
-    previous slot plus ``min(gap, W)``, and a level's first slot lies W
-    past the last slot of the level before it.  Cell ``r_i + c`` sits at
-    slot ``z_i + c - c_min``, so the slots ascend with the cells, number
-    at most W per run, and no two levels share one.  ``np.add.at`` adds
-    in index order, offset after offset, over the whole batch: every cell
-    adds its terms offset after offset with the observations ascending,
-    and the slots with a nonzero sum are read out without a sort.  The
-    work arrays are made once per scan, for the longest batch.
+    ``x`` must be sorted.  The analysis functions are constant on the
+    dyadic bins of width 2^-(j+1) at level j (2^0 for the father row), so
+    each sum depends on the sample only through the bin counts: the sample
+    is binned once at the finest level and each coarser level's bins are
+    the finer ones shifted right (:func:`_dyadic_bins`).  Consecutive
+    levels that share one analysis function go through one pass of
+    :func:`_cell_sums` while their bins add up to at most ``_SCAN_BINS``.
+    The finest passes are the largest, and they run first, so that each
+    later pass's work arrays fit in the memory an earlier one freed.
     """
-    n = len(x)
-    batches = _scan_batches(basis, levels, n)
-    rows = max((len(level_rows) for _, level_rows in batches), default=0)
-    frac, u = np.empty((rows, n)), np.empty((rows, n))
-    shift, z, slot = (np.empty((rows, n), dtype=np.int64) for _ in range(3))
-    shift_buf = s1_buf = s2_buf = np.empty(0)
-    for step_fn, level_rows in batches:
-        m = len(level_rows)
-        _, amps, scales = (np.array(col) for col in zip(*level_rows))
-        fr, w, sh, zm, sl = frac[:m], u[:m], shift[:m], z[:m], slot[:m]
-        a, b = step_fn.support
-        # sh holds each observation's base r = floor(2^j x) for now
-        np.floor(np.multiply(scales[:, None], x, out=fr), out=sh,
-                 casting="unsafe")
-        fr -= sh
-        # frac lies in [0, 1] (it rounds up to 1 when 2^j x is a tiny
-        # negative number), so u = frac - c can meet [a, b] for c from
-        # ceil(-b) to floor(1 - a).  Rounding is monotone, so u lies in
-        # [-c, 1 - c], and an offset whose range lies inside [a, b] needs
-        # no inside test.
-        hits = []
-        for c in range(math.ceil(-b), math.floor(1.0 - a) + 1):
-            inside = None
-            if not (a <= -c and 1 - c <= b):
-                np.subtract(fr, c, out=w)
-                inside = w >= a
-                inside &= w <= b
-                if not inside.any():
-                    continue
-            hits.append((c, inside))
-        # b - a >= 1: every observation meets some translate
-        c_min = hits[0][0]
-        width = hits[-1][0] - c_min + 1
-        # the batch's rows end to end: a level's first step is W
-        zf, shf, slf = zm.reshape(-1), sh.reshape(-1), sl.reshape(-1)
-        zf[0] = 0
-        np.subtract(shf[1:], shf[:-1], out=zf[1:])
-        zm[1:, 0] = width
-        np.minimum(zf, width, out=zf)
-        np.cumsum(zf, out=zf)
-        # the observation's slot z + c - c_min holds cell r + c: the slot
-        # plus the shift r + c_min - z
-        sh += c_min
-        sh -= zm
-        size = int(zf[-1]) + width
-        if size > len(s1_buf):  # size <= width * m * n
-            shift_buf, s1_buf, s2_buf = (np.empty(width * m * n, dtype=t)
-                                         for t in (np.int64, float, float))
-        slot_shift, s1, s2 = shift_buf[:size], s1_buf[:size], s2_buf[:size]
-        s1.fill(0.0)
-        s2.fill(0.0)
-        for c, inside in hits:
-            if inside is None:
-                v = np.subtract(fr, c, out=w)
-                at = np.add(zf, c - c_min, out=slf)
-                slot_shift[at] = shf
-                amp = amps[:, None]
-            else:
-                v = fr[inside] - c
-                at = zm[inside] + (c - c_min)
-                slot_shift[at] = sh[inside]
-                amp = np.repeat(amps, np.count_nonzero(inside, axis=1))
-            step_fn.pieces(v, out=v)
-            v *= amp
-            # flat values: the 1-D fast path of np.add.at
-            v = v.reshape(-1)
-            np.add.at(s1, at, v)
-            np.add.at(s2, at, np.multiply(v, v, out=v))
-        # a slot no observation reached keeps its +0.0, and an exactly
-        # zero sum adds nothing to the estimate: both are left out
-        cells = np.flatnonzero(s1)
-        cols = cells + slot_shift[cells], s1[cells], s2[cells]
-        # each level's slots start at its first observation's slot
-        lo = 0
-        for hi in [*np.searchsorted(cells, zm[1:, 0]).tolist(), len(cells)]:
-            yield tuple(col[lo:hi] for col in cols)
-            lo = hi
+    fns = [level_function(basis, j) for j in levels]
+    if not fns:
+        return []
+    exponents = [_piece_lattice(step_fn)[0] + round(math.log2(scale))
+                 for step_fn, _, scale in fns]
+    bins = _dyadic_bins(x, exponents)
+    passes, i = [], 0
+    while i < len(fns):
+        total, k = len(bins[i][0]), i + 1
+        while (k < len(fns) and fns[k][0] is fns[i][0]
+               and total + len(bins[k][0]) <= _SCAN_BINS):
+            total += len(bins[k][0])
+            k += 1
+        passes.append((i, k))
+        i = k
+    sums = [None] * len(fns)
+    for i, k in reversed(passes):
+        sums[i:k] = _cell_sums(x, fns[i][0], [
+            _Level(*fns[l][1:], exponents[l], *bins[l]) for l in range(i, k)])
+        bins[i:k] = [None] * (k - i)
+    return sums
 
 
 def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
     """The level scan behind :func:`coefficient_table`: its rule-free
     columns (j, k, beta_hat, sigma_hat_sq, sup) over exactly the cells
     :func:`_level_stats` yields, those with a nonzero sum; read-only
-    because every rule fitted to the sample reuses them."""
+    because every rule fitted to the sample reuses them.  beta_hat and
+    sigma_hat_sq are computed in place of the joined sums."""
     x = sample.observations
     n = sample.n
     max_abs = max(abs(float(x[0])), abs(float(x[-1])))
@@ -373,15 +569,16 @@ def _scan(sample: Sample, basis: BiorthogonalBasis, j0: int) -> tuple:
                          f"{max_abs!r} reaches 2^52; rescale the data "
                          f"or lower j0")
     levels = range(-1, j0 + 1)
-    parts, counts = [], []
-    for ks, s1, s2 in _level_stats(x, basis, levels):
-        parts.append((ks, s1 / n, _unbiased_variance(s1, s2, n)))
-        counts.append(len(ks))
+    parts = _level_stats(x, basis, levels)
+    counts = [len(ks) for ks, _, _ in parts]
     # join one column at a time and drop its level pieces right away, so
     # the peak holds one copy of the table rather than two
     columns = [list(col) for col in zip(*parts)]
     del parts
-    ks, beta, sig = (np.concatenate(columns.pop(0)) for _ in range(3))
+    ks, s1, s2 = (np.concatenate(columns.pop(0)) for _ in range(3))
+    # the joined sums are the scan's own: the columns replace them
+    sig = _unbiased_variance(s1, s2, n, out=s2)
+    beta = np.divide(s1, n, out=s1)
     out = (np.repeat(np.arange(-1, j0 + 1, dtype=np.int64), counts), ks,
            beta, sig,
            np.repeat([sup_norm(basis, (level, 0)) for level in levels],
@@ -419,7 +616,9 @@ def coefficient_table(sample: Sample, config: EstimatorConfig) -> CoefficientTab
 
     At each level exactly the translates whose analysis support meets the
     data are visited, and the scan yields only the cells whose sum is
-    nonzero: a zero coefficient adds nothing to the estimate.
+    nonzero: a zero coefficient adds nothing to the estimate.  Each cell's
+    sums are exact before the one rounding by its level's amplitude, so
+    they do not depend on the order of the sample or of the summands.
     The scan depends on the sample, basis and j0 alone, so the sample keeps
     it and later rules reuse it; its columns are read-only.  Raises
     ``ValueError`` when ``2**max(j0, 0) * max|x|`` reaches 2^52, where

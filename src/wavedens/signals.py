@@ -89,12 +89,20 @@ class _Normal:
             raise ValueError(f"mu must be finite, got {mu!r}")
         if not 0 < sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+        # the ISE integrates the squared density, which peaks at
+        # 1/(2 pi sigma^2); sigma^2 itself may underflow to 0
+        peak_sq_inverse = 2.0 * math.pi * sigma * sigma
+        if not (peak_sq_inverse > 0 and 1.0 / peak_sq_inverse < math.inf):
+            raise ValueError(f"sigma = {sigma!r} is too small: the squared "
+                             f"peak density 1/(2 pi sigma^2) overflows")
         self.mu = float(mu)
         self.sigma = float(sigma)
 
     def pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+        # where z * z overflows, exp(-inf) is the density's 0
+        with np.errstate(over="ignore"):
+            z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
+            return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
     def cdf(self, x):
         from scipy.special import ndtr

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -522,17 +523,6 @@ class TestCalibrateCommand:
         assert "gamma must be finite, got inf" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    def test_non_finite_ise_exit_2(self, tmp_path, capsys):
-        # the pdf of a 1e-300-wide normal overflows on the ISE grid
-        out = tmp_path / "cal"
-        with pytest.warns(RuntimeWarning):
-            rc = main(["calibrate", "--signal", "gauss", "--sigma", "1e-300",
-                       "--n", "64", "--gammas", "1", "--reps", "1",
-                       "-o", str(out)])
-        assert rc == 2
-        assert "not finite" in capsys.readouterr().err
-        assert list(out.glob("*.csv")) == []
-
     @pytest.mark.parametrize("text, count", [
         ("0.25:2:0.25", 8), ("0:1:1.0001e-4", 10000), ("1:1:1", 1)])
     def test_gamma_range_length(self, text, count):
@@ -703,6 +693,23 @@ class TestSignalRegistry:
                        "-o", str(tmp_path / "o")])
             assert rc == 2
             assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["calibrate", "--n", "64", "--gammas", "1", "--reps", "1"],
+        ["sample", "--n", "8"]], ids=["calibrate", "sample"])
+    def test_tiny_sigma_exit_2(self, command, tmp_path, capsys):
+        # the squared peak density of a 1e-300-wide normal overflows: the
+        # signal is refused by name before any warning, draw or file
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*command, "--signal", "gauss", "--sigma", "1e-300",
+                       "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "wavedens: error: sigma = 1e-300 is too small: the squared peak "
+            "density 1/(2 pi sigma^2) overflows\n")
+        assert list(out.iterdir()) == []
 
 
 class TestManifestRerun:

@@ -65,12 +65,16 @@ def brute_force_cells(sample, basis, j0, k_window=600):
 
 def unique_level_stats(x, basis, j):
     """Reference level scan: every (observation, offset) translate goes
-    through ``np.unique``, an O(n log n) sort of all of them, and the sums
-    add in the same offset-major order as the library's scan."""
+    through ``np.unique``, an O(n log n) sort of all of them.  The piece
+    of each comes from the float ``frac - c`` and a search of the
+    breakpoints; each cell adds its step values exactly, as integers in
+    units of 1/8, and returns ``amp * R1`` and ``(amp * amp) * R2``, each
+    rounded once."""
     step_fn, amp, scale = level_function(basis, j)
     a, b = step_fn.support
     bp = step_fn.breakpoints
-    vals = step_fn.values
+    eighths = step_fn.values * 8
+    assert np.array_equal(eighths, np.round(eighths))
     t = scale * x
     base = np.floor(t)
     frac = t - base
@@ -81,15 +85,15 @@ def unique_level_stats(x, basis, j):
         if not np.any(inside):
             continue
         piece = np.searchsorted(bp, u[inside], side="right") - 1
-        piece = np.clip(piece, 0, len(vals) - 1)
+        piece = np.clip(piece, 0, len(eighths) - 1)
         k_parts.append((base[inside] + c).astype(np.int64))
-        v_parts.append(amp * vals[piece])
+        v_parts.append(eighths[piece])
     ks = np.concatenate(k_parts)
     vs = np.concatenate(v_parts)
     k_out, inv = np.unique(ks, return_inverse=True)
-    s1 = np.bincount(inv, weights=vs, minlength=len(k_out))
-    s2 = np.bincount(inv, weights=vs * vs, minlength=len(k_out))
-    return k_out, s1, s2
+    r1 = np.bincount(inv, weights=vs, minlength=len(k_out)) / 8
+    r2 = np.bincount(inv, weights=vs * vs, minlength=len(k_out)) / 64
+    return k_out, amp * r1, (amp * amp) * r2
 
 
 def assert_scan_matches_unique(values, basis, levels):
@@ -332,9 +336,9 @@ class TestEmpiricalCoefficients:
         cfg = EstimatorConfig(basis=basis, mode=practical(), j0_override=4)
         got = table_cells(sample, cfg)
         want = brute_force_cells(sample, basis, 4)
-        # whether an exactly-cancelling cell sums to a hard 0.0 depends on
-        # float summation order; such cells may appear on either side only
-        # with a coefficient at cancellation-noise level
+        # the table leaves out every cell whose terms cancel exactly, while
+        # the brute force's float sum can leave such a cell at
+        # cancellation-noise level
         assert set(got) <= set(want)
         for idx, (beta, sig) in want.items():
             noise = 1e-13 * 2.0 ** (max(idx[0], 0) / 2.0)
@@ -425,6 +429,14 @@ for _level in (0, 5, 12):
         _on, -1e-17 * 2.0 ** -_level)
 
 
+def _ulps_from(value, steps):
+    """The float ``steps`` ulps above ``value`` (below when negative)."""
+    toward = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, toward)
+    return value
+
+
 class TestLevelScan:
     """The compact-slot level scan matches the ``np.unique`` reference bit for
     bit: the same cells, sums and sums of squares, at every level."""
@@ -444,10 +456,12 @@ class TestLevelScan:
         assert_scan_matches_unique(x.observations, basis, range(-1, 17))
 
     def test_scan_memory_stays_linear(self, spline):
-        # The 18-level spline scan of these 2^16 draws peaked at 17.4 MB
-        # under tracemalloc (numpy 2.4; MB = 2^20 bytes), 12.6 MB of it the
-        # returned table.  The bound adds 6.6 MB.  The draws span 766, so a cell index dense
-        # over their range would need 5e7 cells at level 16.
+        # The 18-level spline scan of these 2^16 draws peaks at the 12.6 MB
+        # table it returns under tracemalloc (numpy 2.4; MB = 2^20 bytes);
+        # the per-observation scan before the dyadic bins peaked at
+        # 17.4 MB.  The bound adds 6.6 MB to that.  The draws
+        # span 766, so a cell index dense over their range would need 5e7
+        # cells at level 16.
         sample = mixture_hk(2.0).sample(np.random.SeedSequence([7, 0]),
                                         2 ** 16)
         estimator._scan(sample, spline, 16)  # warm the basis caches
@@ -508,71 +522,112 @@ class TestLevelScan:
         assert_scan_matches_unique(values, basis, [level])
 
     @pytest.mark.parametrize("basis_name", ["haar", "spline"])
+    @settings(max_examples=150)
+    @given(data=st.data(), level=st.integers(-1, 16))
+    def test_matches_unique_reference_on_adversarial_samples(
+            self, basis_name, haar, spline, data, level):
+        # points at and within 4 ulps of the breakpoints m / 2^(j+1),
+        # |m| <= 8, of a drawn level j, where the float frac - c can round
+        # onto another piece or the closed end, among zeros, tiny values
+        # and subnormals; every level is scanned, the drawn one and others
+        basis = haar if basis_name == "haar" else spline
+        lattice = st.tuples(st.integers(-8, 8), st.integers(-4, 4)).map(
+            lambda mu: _ulps_from(math.ldexp(mu[0], -(level + 1)), mu[1]))
+        tiny = st.sampled_from([0.0, -0.0, -1e-17, 1e-17, 2.0 ** -1074,
+                                -(2.0 ** -1074), 2.0 ** -1022 - 2.0 ** -1074,
+                                -3e-310])
+        values = data.draw(st.lists(st.one_of(lattice, tiny), min_size=2,
+                                    max_size=40))
+        assert_scan_matches_unique(values, basis, range(-1, 17))
+
+    @pytest.mark.parametrize("basis_name", ["haar", "spline"])
     @settings(max_examples=100)
     @given(values=st.lists(st.floats(-1e3, 1e3, allow_nan=False,
                                      allow_subnormal=True),
-                           min_size=2, max_size=60),
-           first=st.integers(-1, 16), count=st.integers(1, 12),
-           pairs=st.sampled_from([1, 7, 64, 150, estimator._SCAN_PAIRS]))
-    def test_batched_levels_match_unique_reference(
-            self, basis_name, haar, spline, values, first, count, pairs):
-        # runs of levels cut into batches of max(1, pairs // n) levels,
-        # with a remainder or without
+                           min_size=2, max_size=60))
+    def test_duplicating_the_sample_doubles_every_sum(
+            self, basis_name, haar, spline, values):
         basis = haar if basis_name == "haar" else spline
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(estimator, "_SCAN_PAIRS", pairs)
-            assert_scan_matches_unique(values, basis,
-                                       range(first, first + count))
-
-    @pytest.mark.parametrize("basis_name", ["haar", "spline"])
-    @pytest.mark.parametrize("per_batch", [4, 2])
-    def test_batches_split_with_a_remainder(self, basis_name, per_batch,
-                                            haar, spline):
-        # levels 0..16 in batches of 4 or 2 levels leave one over; the
-        # father level runs alone
-        basis = haar if basis_name == "haar" else spline
-        n = estimator._SCAN_PAIRS // per_batch
-        x = mixture_hk(2.0).sample(np.random.SeedSequence([19, n]), n)
+        x = Sample.from_data(values).observations
         levels = range(-1, 17)
-        sizes = [len(rows) for _, rows in
-                 estimator._scan_batches(basis, levels, n)]
-        assert sizes == [1, *[per_batch] * (16 // per_batch), 1]
-        assert_scan_matches_unique(x.observations, basis, levels)
+        once = estimator._level_stats(x, basis, levels)
+        twice = estimator._level_stats(np.repeat(x, 2), basis, levels)
+        for j, (ks, s1, s2), (ks2, s1_2, s2_2) in zip(levels, once, twice):
+            assert np.array_equal(ks2, ks), j
+            assert np.array_equal(s1_2, 2.0 * s1), j
+            assert np.array_equal(s2_2, 2.0 * s2), j
 
-    def test_one_piece_lookup_per_offset_and_batch(self, spline,
-                                                   monkeypatch):
-        # the calibrate workload's scan: n = 1024, levels -1..10 in two
-        # batches (the father alone, then levels 0..10); one lookup per
-        # level and offset would take 1 + 3 * 11 = 34
+    @pytest.mark.parametrize("breakpoints, values", [
+        ([0.0, 2.0, 4.0], [1.0, -1.0]),  # offsets -4..1
+        ([0.0, 2.0], [1.0])],            # one piece 2 wide
+        ids=["offsets", "width"])
+    def test_analysis_function_beyond_the_scan_rejected(
+            self, haar, breakpoints, values):
+        basis = dataclasses.replace(
+            haar, name="other",
+            psi=StepFunction(np.array(breakpoints), np.array(values)))
+        with pytest.raises(ValueError, match="needs an analysis function"):
+            coefficient_table(Sample.from_data([0.1, 0.7]), EstimatorConfig(
+                basis=basis, mode=practical(), j0_override=0))
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """Levels of each accumulation pass; the scan runs the finest
+        first, and the list keeps them coarsest first."""
+        passes = []
+        cell_sums = estimator._cell_sums
+
+        def counted(x, step_fn, levels):
+            passes.insert(0, levels)
+            return cell_sums(x, step_fn, levels)
+
+        monkeypatch.setattr(estimator, "_cell_sums", counted)
+        return passes
+
+    def test_one_pass_per_analysis_function(self, spline, monkeypatch):
+        # the calibrate workload's scan: n = 1024, levels -1..10 hold 1,139
+        # bins, so the father level takes one pass with phi and the eleven
+        # wavelet levels one pass with psi
         sample = Bumps().sample(3, 1024)
         levels = range(-1, 11)
-        batches = estimator._scan_batches(spline, levels, sample.n)
-        assert len(batches) == 2
-        offsets = max(math.floor(1.0 - a) - math.ceil(-b) + 1
-                      for a, b in (spline.phi.support, spline.psi.support))
-        calls = []
-        pieces = StepFunction.pieces
+        passes = self._count_passes(monkeypatch)
+        got = list(estimator._level_stats(sample.observations, spline,
+                                          levels))
+        assert len(got) == len(levels)
+        assert [len(levels) for levels in passes] == [1, 11]
+        assert list(estimator._level_stats(sample.observations, spline,
+                                           [])) == []
+        assert sum(len(level.bins) for level in passes[1]) <= estimator._SCAN_BINS
 
-        def counted(self, x, out=None):
-            calls.append(np.shape(x))
-            return pieces(self, x, out=out)
-
-        monkeypatch.setattr(StepFunction, "pieces", counted)
-        assert len(list(estimator._level_stats(sample.observations, spline,
-                                               levels))) == len(levels)
-        assert 0 < len(calls) <= offsets * len(batches)
+    @pytest.mark.parametrize("basis_name", ["haar", "spline"])
+    def test_bin_cap_splits_levels_with_a_remainder(
+            self, basis_name, haar, spline, monkeypatch):
+        # 2^16 hk(2) draws: the coarse wavelet levels share passes up to
+        # the bin cap, the level that would pass it starts the next pass,
+        # and from level 9 on each level holds enough bins to pass alone
+        basis = haar if basis_name == "haar" else spline
+        x = mixture_hk(2.0).sample(np.random.SeedSequence([19, 0]), 2 ** 16)
+        levels = range(-1, 17)
+        passes = self._count_passes(monkeypatch)
+        assert_scan_matches_unique(x.observations, basis, levels)
+        sizes = [[len(level.bins) for level in levels] for levels in passes]
+        assert [len(level_bins) for level_bins in sizes] == [1, 9, *[1] * 8]
+        cap = estimator._SCAN_BINS
+        assert sum(sizes[1]) <= cap < sum(sizes[1]) + sizes[2][0]
+        assert all(level_bins[0] > cap - level_bins[0]
+                   for level_bins in sizes[3:])
 
     def test_scan_memory_bounded_by_the_batch(self, spline):
         # n = 2^12 under the theoretical cap with c = 1.5: levels -1..18,
-        # the wavelet levels four to a batch.  The scan peaked at 4.4 MB
-        # under tracemalloc (numpy 2.4; MB = 2^20 bytes), 3.0 MB of it the
-        # returned table, against 12.9 MB with all 19 wavelet levels in one
-        # batch.  The bound adds 1.6 MB.
+        # the wavelet levels in passes 0..12, 13..16 and 17..18.  The
+        # scan peaked at 3.1 MB under tracemalloc (numpy 2.4; MB = 2^20
+        # bytes), 3.0 MB of it the returned table; the per-observation scan
+        # before the dyadic bins peaked at 4.4 MB, and at 12.9 MB with all
+        # 19 wavelet levels in one batch.  The bound adds 1.6 MB to 4.4.
         n = 2 ** 12
         sample = mixture_hk(2.0).sample(np.random.SeedSequence([12, 0]), n)
         j0 = EstimatorConfig(spline, theoretical_gamma(1.0, c=1.5)).j0(n)
         assert j0 == 18
-        assert estimator._SCAN_PAIRS // n == 4
         estimator._scan(sample, spline, j0)  # warm the basis caches
         tracemalloc.start()
         try:

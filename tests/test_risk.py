@@ -143,13 +143,16 @@ class TestIse:
         assert ise(est, sig, default_grid(sig, [est])) >= 0.0
 
     def test_non_finite_raises(self):
-        # the pdf of a 1e-300-wide normal overflows on the grid
-        sig = Gauss(0.5, 1e-300)
+        # a density that overflows on the grid, as the pdf of a normal too
+        # narrow for float64 did before Gauss rejected such a sigma
+        sig = Gauss(0.5, 0.25)
         est = method_from_code("H").fit(sig.sample(1, 64))
+        sig.pdf = lambda x: np.full(np.shape(x), np.inf)
         grid = default_grid(sig, [est])
-        with pytest.warns(RuntimeWarning), pytest.raises(
-                ValueError, match=r"^ISE against gauss\(0\.5,1e-300\) is not "
-                r"finite \(inf\) on the grid \[-1\.0, 2\.0\] at step "
+        assert (grid.lo, grid.hi, grid.step) == (-2.5, 3.5, 2.0 ** -10)
+        with pytest.raises(
+                ValueError, match=r"^ISE against gauss\(0\.5,0\.25\) is not "
+                r"finite \(inf\) on the grid \[-2\.5, 3\.5\] at step "
                 r"0\.0009765625$"):
             ise(est, sig, grid)
 

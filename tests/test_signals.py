@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -135,12 +136,26 @@ class TestGaussAndMixtures:
         with pytest.raises(ValueError):
             Gauss(0.0, 1.0).sample(1, 1)
 
+    def test_narrowest_sigma_and_overflowing_z_squared(self):
+        # the smallest accepted sigma keeps 1/(2 pi sigma^2) finite; its
+        # z * z overflows far from the mean, where the pdf is 0, silently
+        sig = Gauss(0.0, 3e-155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = sig.pdf(np.array([0.0, 3e-155, 1.0, -1e300, np.inf]))
+        assert np.isfinite(1.0 / (2.0 * math.pi * 3e-155 ** 2))
+        assert f[0] == 1.0 / (3e-155 * math.sqrt(2.0 * math.pi))
+        assert 0.0 < f[1] < f[0]
+        assert f[2:].tolist() == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("build, message", [
         (lambda: Gauss(math.inf, 1.0), "mu must be finite, got inf"),
         (lambda: Gauss(math.nan, 1.0), "mu must be finite, got nan"),
         (lambda: Gauss(0.0, math.nan), "sigma must be positive and finite, got nan"),
         (lambda: Gauss(0.0, math.inf), "sigma must be positive and finite, got inf"),
         (lambda: Gauss(0.0, 0.0), "sigma must be positive and finite, got 0.0"),
+        (lambda: Gauss(0.5, 1e-300), "sigma = 1e-300 is too small"),
+        (lambda: Gauss(0.5, 2.9e-155), "sigma = 2.9e-155 is too small"),
         (lambda: mixture_gd(math.inf), "d must be finite, got inf"),
         (lambda: mixture_gd(-math.inf), "d must be finite, got -inf"),
         (lambda: mixture_gd(math.nan), "d must be finite, got nan"),
