@@ -523,6 +523,22 @@ class TestCalibrateCommand:
         assert "gamma must be finite, got inf" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_non_finite_ise_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a valid normal whose pdf overflows on the ISE grid: the run
+        # fails on the ISE and writes no CSV
+        def overflowing(params):
+            signal = Gauss(params["mu"], params["sigma"])
+            signal.pdf = lambda x: np.full(np.shape(x), np.inf)
+            return signal
+
+        monkeypatch.setitem(cli._SIGNALS, "gauss", overflowing)
+        out = tmp_path / "cal"
+        rc = main(["calibrate", "--signal", "gauss", "--n", "64",
+                   "--gammas", "1", "--reps", "1", "-o", str(out)])
+        assert rc == 2
+        assert "not finite" in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == []
+
     @pytest.mark.parametrize("text, count", [
         ("0.25:2:0.25", 8), ("0:1:1.0001e-4", 10000), ("1:1:1", 1)])
     def test_gamma_range_length(self, text, count):

@@ -97,9 +97,9 @@ def unique_level_stats(x, basis, j):
 
 
 def assert_scan_matches_unique(values, basis, levels):
-    # one scan over all the levels, so each level reuses the work arrays
-    # the levels before it filled; the scan yields exactly the reference's
-    # cells whose sum is nonzero
+    # one scan over all the levels, so levels that share an analysis
+    # function share a pass; the scan yields exactly the reference's cells
+    # whose sum is nonzero
     x = Sample.from_data(values).observations
     scans = list(estimator._level_stats(x, basis, levels))
     assert len(scans) == len(levels)
@@ -415,11 +415,11 @@ def _gapped_runs(level, fracs, gaps=(1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1, 6, 1)):
     return np.ldexp(x, -max(level, 0))
 
 
-# The compact slots step by min(gap, W), W the span of the offsets in use:
-# off the lattice 1 for Haar and 3 for the spline wavelet; a point on it
-# (frac 0) adds one offset, and the point -1e-17, whose frac rounds up to
-# 1, another (3 and 5).  Gaps 1..6 put the bases W - 1, W and W + 1 apart
-# for each W.
+# Runs of occupied bins whose bases are 1..6 apart: the translates that
+# neighbouring runs reach overlap (spline), touch, or leave translates no
+# bin reaches between them; a point on the lattice (frac 0) also reaches
+# the closed end of a support, and the point -1e-17 lies in the near band,
+# where the float assignment rounds its frac up to 1.
 for _level in (0, 5, 12):
     _SCAN_CASES[f"gapped runs off the lattice at level {_level}"] = (
         _gapped_runs(_level, [0.3, 0.7]))
@@ -438,13 +438,13 @@ def _ulps_from(value, steps):
 
 
 class TestLevelScan:
-    """The compact-slot level scan matches the ``np.unique`` reference bit for
+    """The dyadic-bin level scan matches the ``np.unique`` reference bit for
     bit: the same cells, sums and sums of squares, at every level."""
 
     @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
     @pytest.mark.parametrize("basis_name", ["haar", "spline"])
     def test_matches_unique_reference(self, case, basis_name, haar, spline):
-        # small samples: levels 0..16 run in one or two batches
+        # small samples: the wavelet levels 0..16 share one pass
         basis = haar if basis_name == "haar" else spline
         assert_scan_matches_unique(_SCAN_CASES[case], basis, range(-1, 17))
 
@@ -456,10 +456,10 @@ class TestLevelScan:
         assert_scan_matches_unique(x.observations, basis, range(-1, 17))
 
     def test_scan_memory_stays_linear(self, spline):
-        # The 18-level spline scan of these 2^16 draws peaks at the 12.6 MB
-        # table it returns under tracemalloc (numpy 2.4; MB = 2^20 bytes);
-        # the per-observation scan before the dyadic bins peaked at
-        # 17.4 MB.  The bound adds 6.6 MB to that.  The draws
+        # The 18-level spline scan of these 2^16 draws peaks at 14.1 MB
+        # under tracemalloc (numpy 2.4; MB = 2^20 bytes), 12.6 MB of it the
+        # table it returns; the per-observation scan before the dyadic bins
+        # peaked at 17.4 MB.  The bound adds 6.6 MB to that.  The draws
         # span 766, so a cell index dense over their range would need 5e7
         # cells at level 16.
         sample = mixture_hk(2.0).sample(np.random.SeedSequence([7, 0]),
@@ -620,7 +620,7 @@ class TestLevelScan:
     def test_scan_memory_bounded_by_the_batch(self, spline):
         # n = 2^12 under the theoretical cap with c = 1.5: levels -1..18,
         # the wavelet levels in passes 0..12, 13..16 and 17..18.  The
-        # scan peaked at 3.1 MB under tracemalloc (numpy 2.4; MB = 2^20
+        # scan peaked at 3.4 MB under tracemalloc (numpy 2.4; MB = 2^20
         # bytes), 3.0 MB of it the returned table; the per-observation scan
         # before the dyadic bins peaked at 4.4 MB, and at 12.9 MB with all
         # 19 wavelet levels in one batch.  The bound adds 1.6 MB to 4.4.
