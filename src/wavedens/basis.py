@@ -73,6 +73,7 @@ class StepFunction:
     # (lo, hi, scale, first): the piece holding x is
     # floor(clip(x, lo, hi) * scale) - first, with scale = 2^m
     _lattice: tuple = field(init=False, repr=False)
+    _sup_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -94,6 +95,7 @@ class StepFunction:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_lattice", (float(bp[0]), float(bp[-2]),
                                               scale, float(index[0])))
+        object.__setattr__(self, "_sup_norm", float(np.max(np.abs(vals))))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -101,7 +103,7 @@ class StepFunction:
 
     @property
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return self._sup_norm
 
     def pieces(self, x, out=None):
         """The value of the piece holding each point, elementwise; a point
@@ -148,8 +150,10 @@ class StepFunction:
 class TabulatedFunction:
     """Function tabulated on a dyadic grid, linear between nodes, 0 outside.
 
-    ``samples[i]`` is the value at ``lo + i * 2**-grid_exponent``; the grid
-    covers ``[lo, hi]`` exactly.
+    ``samples[i]`` is the value at ``lo + i * 2**-grid_exponent``; ``lo``
+    and ``hi`` are multiples of that step, so the grid covers ``[lo, hi]``
+    exactly.  A lookup whose points are all nodes reads their samples by
+    index; any other lookup is one ``np.interp``.
     """
 
     lo: float
@@ -157,21 +161,29 @@ class TabulatedFunction:
     grid_exponent: int
     samples: np.ndarray
     _grid: np.ndarray = field(init=False, repr=False)
+    # (first, last, scale): x is node i iff t = x * scale is an integer
+    # in [first, last], with scale = 2^grid_exponent; then i = t - first
+    _nodes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
-        step = 2.0 ** -self.grid_exponent
-        npts = round((self.hi - self.lo) / step) + 1
+        scale = math.ldexp(1.0, self.grid_exponent)
+        first, last = self.lo * scale, self.hi * scale
+        if first != math.floor(first) or last != math.floor(last):
+            raise ValueError(f"lo and hi must be multiples of the step "
+                             f"2^-{self.grid_exponent}")
+        npts = round(last - first) + 1
         if len(samples) != npts:
             raise ValueError(
                 f"expected {npts} samples covering [{self.lo}, {self.hi}] "
                 f"at step 2^-{self.grid_exponent}, got {len(samples)}"
             )
         samples.setflags(write=False)
-        grid = self.lo + np.arange(npts) * step
+        grid = self.lo + np.arange(npts) / scale
         grid.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_nodes", (first, last, scale))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -179,8 +191,25 @@ class TabulatedFunction:
 
     def eval(self, x):
         """Linear interpolation, elementwise; the first and last nodes are
-        ``lo`` and ``hi``, so a finite point outside them gives 0."""
-        return np.interp(x, self._grid, self.samples, left=0.0, right=0.0)
+        ``lo`` and ``hi``, so a finite point outside them gives 0.
+
+        At a node, ``np.interp`` returns the node's own sample, so when
+        every point is a node the samples are read by index instead, with
+        ``np.interp``'s output shape and type.  The first point is tested
+        alone first, so points off the nodes pay O(1) before they are
+        interpolated.  ``x * 2^grid_exponent`` is exact, and NaN and
+        infinite points fail the test."""
+        xv = np.asarray(x, dtype=float)
+        first, last, scale = self._nodes
+        if xv.size:
+            t0 = float(xv.flat[0]) * scale
+            if first <= t0 <= last and t0 == math.floor(t0):
+                t = xv * scale
+                whole = np.floor(t)
+                if ((whole == t).all() and whole.min() >= first
+                        and whole.max() <= last):
+                    return self.samples[(whole - first).astype(np.intp)]
+        return np.interp(xv, self._grid, self.samples, left=0.0, right=0.0)
 
 
 ReconstructionFunction = Union[StepFunction, TabulatedFunction]

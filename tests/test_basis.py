@@ -252,3 +252,87 @@ class TestSplineConstruction:
     def test_tabulated_function_sample_count_checked(self):
         with pytest.raises(ValueError, match="samples"):
             TabulatedFunction(0.0, 1.0, 10, np.zeros(5))
+
+    @pytest.mark.parametrize("lo, hi", [(0.1, 1.0), (0.0, 1.0 + 2.0 ** -11)])
+    def test_tabulated_ends_off_the_grid_raise(self, lo, hi):
+        with pytest.raises(ValueError, match="multiples of the step"):
+            TabulatedFunction(lo, hi, 10, np.zeros(1025))
+
+
+# the reference every node read must equal; tests below patch np.interp
+_INTERP = np.interp
+
+
+def _table_nodes(tab):
+    return tab.lo + np.arange(len(tab.samples)) * 2.0 ** -tab.grid_exponent
+
+
+def _interpolated(tab, x):
+    return _INTERP(x, _table_nodes(tab), tab.samples, left=0.0, right=0.0)
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestTabulatedNodeRead:
+    """A lookup whose points are all nodes of the table reads the samples
+    by index, any other lookup interpolates, and both give np.interp's
+    output bit for bit."""
+
+    @pytest.fixture(params=["phi_tilde", "psi_tilde"])
+    def tab(self, request, spline):
+        return getattr(spline, request.param)
+
+    @pytest.fixture
+    def interp_sizes(self, monkeypatch):
+        sizes = []
+
+        def counted(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return _INTERP(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "interp", counted)
+        return sizes
+
+    def test_every_node_as_a_2d_input(self, tab, rng, interp_sizes):
+        x = rng.permutation(_table_nodes(tab))
+        pad = -len(x) % 8  # repeat a few nodes to fill the last row
+        x = np.concatenate([x, x[:pad]]).reshape(-1, 8)
+        _assert_same(tab.eval(x), _interpolated(tab, x))
+        assert interp_sizes == []
+
+    def test_every_node_as_a_0d_input(self, tab, rng, interp_sizes):
+        for node in rng.permutation(_table_nodes(tab)):
+            x = np.array(node)
+            _assert_same(tab.eval(x), _interpolated(tab, x))
+        assert interp_sizes == []
+
+    @pytest.mark.parametrize("where", [0, 777, -1])
+    def test_a_point_one_ulp_off_a_node_interpolates(self, tab, rng,
+                                                     interp_sizes, where):
+        x = rng.permutation(_table_nodes(tab))
+        for off in (np.nextafter(x[where], -np.inf),
+                    np.nextafter(x[where], np.inf)):
+            batch = x.copy()
+            batch[where] = off
+            _assert_same(tab.eval(batch), _interpolated(tab, batch))
+        assert interp_sizes == [len(x), len(x)]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "below", "above"])
+    @pytest.mark.parametrize("where", [0, 777, -1])
+    def test_a_point_off_the_table_interpolates(self, tab, rng,
+                                                interp_sizes, bad, where):
+        step = 2.0 ** -tab.grid_exponent
+        x = rng.permutation(_table_nodes(tab))
+        x[where] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+                    "below": tab.lo - step, "above": tab.hi + step}[bad]
+        _assert_same(tab.eval(x), _interpolated(tab, x))
+        assert interp_sizes == [len(x)]
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_input(self, tab, shape):
+        x = np.empty(shape)
+        _assert_same(tab.eval(x), _interpolated(tab, x))

@@ -453,6 +453,27 @@ class TestGridMemo:
         # the sampler screens its proposals before it evaluates the pdf
         assert 0 < sum(sampler_points) < 0.15 * sum(proposals)
 
+    @pytest.mark.parametrize("signal, interpolates", [
+        (Bumps(), False), (mixture_gd(10), False), (mixture_gd(70), False),
+        (Uniform01(), False), (mixture_hk(2), True),
+    ], ids=["bumps", "gd10", "gd70", "uniform", "hk2"])
+    def test_synthesis_lookups_read_nodes_on_lattice_grids(
+            self, spline, signal, interpolates, monkeypatch):
+        # a default grid whose ends lie on the 2^-12 lattice puts every
+        # synthesis argument on a table node, so no lookup interpolates;
+        # hk's bracket ends are off the lattice, and there lookups do.
+        # The spline fixture builds the tables before the count starts.
+        interp, sizes = np.interp, []
+
+        def counted(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return interp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "interp", counted)
+        reports = mise_sweep(signal, 1024, resolve_methods(["S", "S*"]), 1, 3)
+        assert all(math.isfinite(r.ise_values[0]) for r in reports)
+        assert (len(sizes) > 0) == interpolates
+
     @pytest.mark.parametrize("signal", [mixture_gd(10), mixture_hk(2), Bumps()],
                              ids=["gd10", "hk2", "bumps"])
     def test_sweep_ise_equals_lone_ise_on_fresh_grid(self, signal):
