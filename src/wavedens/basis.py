@@ -363,7 +363,11 @@ def _eval_dilated(basis, idx, x, synthesis):
 
 def eval_decomposition(basis: BiorthogonalBasis, idx, x):
     """Analysis-side evaluation: ``phi(x - k)`` at level -1, else
-    ``2**(j/2) * psi(2**j x - k)``.  Exact step-function lookup."""
+    ``2**(j/2) * psi(2**j x - k)``.  An exact step-function lookup of the
+    float argument ``2**j x - k``, which can round onto a closed end:
+    x = 1e-17 on the spline wavelet at level 0 and k = -2 reads 1/8 where
+    the exact value is 0.  The level scan's exact dyadic bins, not this
+    function, define the empirical coefficients."""
     return _eval_dilated(basis, idx, x, synthesis=False)
 
 

@@ -245,16 +245,6 @@ def threshold(cell, n, mode: Mode) -> float:
 # to 2^16 time alike there.
 _SCAN_BINS = 2 ** 14
 
-# The float piece assignment (t = 2^j x, frac = t - floor(t), u = frac - c
-# for the integer offsets c, here -2..2) rounds frac only for -1/2 < t < 0
-# and u only where |t| < 2, by less than 2^-51 in all.  So it can move u
-# onto another piece or onto the support's closed end only where t lies
-# within 2^-51 of a half-integer in [-2, 2]; the scan keeps it for the
-# observations within _NEAR of one, and bins every other observation.
-_NEAR = 2.0 ** -50
-_HALF_INTEGERS = np.arange(-4, 5) / 2.0
-
-
 def _last_of_runs(v: np.ndarray) -> np.ndarray:
     """Mask of the last entry of each run of equal values in ``v``."""
     last = np.empty(len(v), dtype=bool)
@@ -302,12 +292,11 @@ def _dyadic_bins(x: np.ndarray, exponents) -> list:
 
 
 class _Level(NamedTuple):
-    """One level of a scan pass: ``psi_jk(x) = amp * f(scale * x - k)``
-    and its bins ``floor(2^e x)`` from :func:`_dyadic_bins`."""
+    """One level of a scan pass: the amplitude of
+    ``psi_jk(x) = amp * f(scale * x - k)`` and the bins ``floor(2^e x)``
+    from :func:`_dyadic_bins`."""
 
     amp: float
-    scale: float
-    e: int
     bins: np.ndarray
     ends: np.ndarray
     lattice_bins: np.ndarray
@@ -345,48 +334,10 @@ def _exact_sum(terms, out: np.ndarray, tmp: np.ndarray) -> None:
         acc = tmp
 
 
-def _take_near(x, step_fn, levels, starts, counts, lattice_counts) -> tuple:
-    """Take the observations near a half-integer (see ``_NEAR``) out of the
-    pass's bin ``counts`` and ``lattice_counts`` and give them the float
-    assignment: ``(near_at, near_terms)``, the pass-wide indices of their
-    bins and their ``(bin index, translate, value)`` terms, per level."""
-    scales = np.array([level.scale for level in levels])[:, None]
-    lo = np.searchsorted(x, (_HALF_INTEGERS - _NEAR) / scales, side="left")
-    hi = np.searchsorted(x, (_HALF_INTEGERS + _NEAR) / scales, side="right")
-    a, b = step_fn.support
-    near_at, near_terms = [], []
-    for i in np.flatnonzero((hi > lo).any(axis=1)).tolist():
-        level = levels[i]
-        xn = x[np.concatenate([np.arange(i0, i1) for i0, i1 in
-                               zip(lo[i].tolist(), hi[i].tolist())])]
-        y = xn * 2.0 ** level.e
-        bn = np.floor(y)
-        at = starts[i] + np.searchsorted(level.bins, bn.astype(np.int64))
-        taken, times = np.unique(at, return_counts=True)
-        counts[taken] -= times
-        on = bn[y == bn].astype(np.int64)
-        if len(on):
-            where, times = np.unique(
-                np.searchsorted(level.lattice_bins, on), return_counts=True)
-            lattice_counts[i] = lattice_counts[i].copy()
-            lattice_counts[i][where] -= times
-        near_at.append(taken)
-        t = xn * level.scale
-        base = np.floor(t)
-        frac = t - base
-        base = base.astype(np.int64)
-        for c in range(math.ceil(-b), math.floor(1.0 - a) + 1):
-            u = frac - c
-            inside = (u >= a) & (u <= b)
-            near_terms.append((at[inside], base[inside] + c,
-                               step_fn.pieces(u[inside])))
-    return near_at, near_terms
-
-
-def _cell_sums(x: np.ndarray, step_fn, levels) -> list:
+def _cell_sums(n: int, step_fn, levels) -> list:
     """One accumulation pass over consecutive levels (:class:`_Level`)
-    that share the analysis function ``step_fn``: ``(ks, s1, s2)`` per
-    level.
+    that share the analysis function ``step_fn``, for a sample of ``n``
+    observations: ``(ks, s1, s2)`` per level.
 
     The pieces have width 2^-m and left ends ``(first + q) / 2^m``, so bin
     ``B`` (``rel = B - first``) holds piece ``q = 2^m i + (rel & mask)``
@@ -402,17 +353,13 @@ def _cell_sums(x: np.ndarray, step_fn, levels) -> list:
     ``R1 = sum v_q count_q`` and ``R2 = sum v_q^2 count_q``, exactly: the
     values are multiples of 1/8.  The sums returned are ``amp * R1`` and
     ``(amp * amp) * R2``, each rounded once."""
-    a, b = step_fn.support
     m, first, pieces = _piece_lattice(step_fn)
-    # _NEAR holds for the offsets -2..2, and bins index whole pieces
-    if math.ceil(-b) < -2 or math.floor(1.0 - a) > 2 or m < 0:
+    if m < 0:  # bins index whole pieces
         raise ValueError("the level scan needs an analysis function "
-                         "supported in (-2, 3), with pieces of width 1 "
-                         "or less")
+                         "with pieces of width 1 or less")
     mask = (1 << m) - 1
     most = (pieces - 1) >> m  # translates a bin's pieces reach below its own
     end_at, end_parity = pieces >> m, pieces & mask
-    n = len(x)
     starts = np.cumsum([0, *(len(level.bins) for level in levels)])
     rel = np.concatenate([level.bins for level in levels])
     ends = np.concatenate([level.ends for level in levels])
@@ -420,37 +367,26 @@ def _cell_sums(x: np.ndarray, step_fn, levels) -> list:
     counts[1:] -= ends[:-1]
     counts[starts[1:-1]] += n  # each level's run ends restart at 0
     del ends
-    lattice_counts = [level.lattice_counts for level in levels]
-    near_at, near_terms = _take_near(x, step_fn, levels, starts, counts,
-                                     lattice_counts)
     rel -= first
     parity = rel & mask
     kappa = np.right_shift(rel, m, out=rel)
-    # a bin's pieces reach the translates kappa - below .. kappa.  Its
-    # lattice point, when it reaches a closed end, and a near
-    # observation's float terms reach down to kappa - (P - parity) >> m;
-    # those terms also reach kappa + 1 when rel + 1 is a multiple of 2^m.
-    # Both ends ascend with the bins.
+    # a bin's pieces reach the translates kappa - below .. kappa, and its
+    # lattice point, when it reaches a closed end, reaches down to
+    # kappa - (P >> m).  Both ends ascend with the bins.
     below = (pieces - 1) - parity
     below >>= m
     lattice = [(starts[i] + np.searchsorted(level.bins, level.lattice_bins),
-                lattice_counts[i])
+                level.lattice_counts)
                for i, level in enumerate(levels) if len(level.lattice_bins)]
     if lattice:
         lat_at, lat_counts = (np.concatenate(col) for col in zip(*lattice))
         reaches_end = parity[lat_at] == end_parity
         lat_at, lat_counts = lat_at[reaches_end], lat_counts[reaches_end]
         below[lat_at] = end_at
-    highest = kappa
-    if near_at:
-        near_at = np.concatenate(near_at)
-        below[near_at] = (pieces - parity[near_at]) >> m
-        highest = kappa.copy()
-        highest[near_at] += (parity[near_at] + 1) >> m
     lowest = np.subtract(kappa, below, out=below)
     # shift = translate - slot: it grows by each gap between intervals,
     # and at a new level by whatever puts its first slot next
-    skip = lowest[1:] - highest[:-1]
+    skip = lowest[1:] - kappa[:-1]
     skip -= 1
     new_level = starts[1:-1] - 1
     level_skip = skip[new_level]
@@ -461,14 +397,14 @@ def _cell_sums(x: np.ndarray, step_fn, levels) -> list:
     shift[1:] = skip
     del skip
     np.cumsum(shift, out=shift)
-    size = int(highest[-1] - shift[-1]) + 1
+    size = int(kappa[-1] - shift[-1]) + 1
     level_slots = (lowest[starts[:-1]] - shift[starts[:-1]]).tolist()
     runs = np.concatenate([[0], np.flatnonzero(shift[1:] != shift[:-1]) + 1])
     run_slots = lowest[runs] - shift[runs]
     run_slots[:-1] -= run_slots[1:]
     run_slots[-1] -= size
     slot_shift = shift[runs].repeat(-run_slots)
-    del lowest, highest, runs
+    del lowest, runs
     slot = np.subtract(kappa, shift, out=kappa)
     span = size + most
     planes = np.zeros((mask + 1) * span)
@@ -487,11 +423,6 @@ def _cell_sums(x: np.ndarray, step_fn, levels) -> list:
         at = slot[lat_at] - end_at
         s1[at] += end_value * lat_counts
         s2[at] += (end_value * end_value) * lat_counts
-    if near_terms:
-        at, ks, v = (np.concatenate(col) for col in zip(*near_terms))
-        at, where = np.unique(ks - shift[at], return_inverse=True)
-        s1[at] += np.bincount(where, weights=v)
-        s2[at] += np.bincount(where, weights=v * v)
     del slot, shift
     # a slot no bin reached keeps its zero, and a translate whose terms
     # cancel sums to an exact zero: both are left out
@@ -548,8 +479,8 @@ def _level_stats(x: np.ndarray, basis: BiorthogonalBasis, levels) -> list:
         i = k
     sums = [None] * len(fns)
     for i, k in reversed(passes):
-        sums[i:k] = _cell_sums(x, fns[i][0], [
-            _Level(*fns[l][1:], exponents[l], *bins[l]) for l in range(i, k)])
+        sums[i:k] = _cell_sums(len(x), fns[i][0], [
+            _Level(fns[l][1], *bins[l]) for l in range(i, k)])
         bins[i:k] = [None] * (k - i)
     return sums
 

@@ -1,8 +1,10 @@
 """Tests for the thresholding estimator core."""
 
+import bisect
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,36 +66,69 @@ def brute_force_cells(sample, basis, j0, k_window=600):
 
 
 def unique_level_stats(x, basis, j):
-    """Reference level scan: every (observation, offset) translate goes
-    through ``np.unique``, an O(n log n) sort of all of them.  The piece
-    of each comes from the float ``frac - c`` and a search of the
-    breakpoints; each cell adds its step values exactly, as integers in
-    units of 1/8, and returns ``amp * R1`` and ``(amp * amp) * R2``, each
-    rounded once."""
+    """Reference level scan: every (observation, translate) pair goes
+    through ``np.unique``, an O(n log n) sort of all of them.  The pieces
+    have width 2^-m and left ends ``(first + q) / 2^m``; an observation in
+    bin ``B = floor(2^m scale x)`` meets translate k in piece
+    ``q = B - 2^m k - first`` when ``0 <= q < P``, and, when it sits on
+    the lattice point ``B / (2^m scale)``, also the closed right end of
+    translate k with ``q = P``.  Each cell adds its step values exactly,
+    as integers in units of 1/8, and returns ``amp * R1`` and
+    ``(amp * amp) * R2``, each rounded once."""
     step_fn, amp, scale = level_function(basis, j)
-    a, b = step_fn.support
     bp = step_fn.breakpoints
+    per = round(1.0 / (bp[1] - bp[0]))  # 2^m
+    first = round(bp[0] * per)
     eighths = step_fn.values * 8
+    pieces = len(eighths)
     assert np.array_equal(eighths, np.round(eighths))
-    t = scale * x
-    base = np.floor(t)
-    frac = t - base
+    y = x * (scale * per)
+    bins = np.floor(y)
+    on = y == bins
+    bins = bins.astype(np.int64)
+    # the highest translate an observation meets has q = (B - first) mod
+    # 2^m, and each lower one adds 2^m to q
+    top = (bins - first) // per
     k_parts, v_parts = [], []
-    for c in range(math.ceil(-b), math.floor(1.0 - a) + 1):
-        u = frac - c
-        inside = (u >= a) & (u <= b)
-        if not np.any(inside):
-            continue
-        piece = np.searchsorted(bp, u[inside], side="right") - 1
-        piece = np.clip(piece, 0, len(eighths) - 1)
-        k_parts.append((base[inside] + c).astype(np.int64))
-        v_parts.append(eighths[piece])
+    for below in range(pieces // per + 1):
+        k = top - below
+        q = bins - per * k - first
+        meets = (q < pieces) | (on & (q == pieces))
+        k_parts.append(k[meets])
+        v_parts.append(eighths[np.minimum(q[meets], pieces - 1)])
     ks = np.concatenate(k_parts)
     vs = np.concatenate(v_parts)
     k_out, inv = np.unique(ks, return_inverse=True)
     r1 = np.bincount(inv, weights=vs, minlength=len(k_out)) / 8
     r2 = np.bincount(inv, weights=vs * vs, minlength=len(k_out)) / 64
     return k_out, amp * r1, (amp * amp) * r2
+
+
+def fraction_level_stats(x, basis, j):
+    """Exact oracle: ``psi_jk(x) = amp * f(scale * x - k)`` in rational
+    arithmetic, with f's pieces closed on the left and its last piece also
+    closed on the right.  ``(ks, s1, s2)`` over the translates whose sum
+    is nonzero, with ``s1 = amp * R1`` and ``s2 = (amp * amp) * R2`` for
+    the exact sums R1 of f's values and R2 of their squares."""
+    step_fn, amp, scale = level_function(basis, j)
+    bp = [Fraction(b) for b in step_fn.breakpoints.tolist()]
+    values = [Fraction(v) for v in step_fn.values.tolist()]
+    r1, r2 = {}, {}
+    for xi in x.tolist():
+        t = Fraction(xi) * Fraction(scale)
+        for k in range(math.floor(t - bp[-1]), math.ceil(t - bp[0]) + 1):
+            u = t - k
+            if not bp[0] <= u <= bp[-1]:
+                continue
+            # the piece whose left end is the last breakpoint <= u; u on
+            # the right end belongs to the last piece
+            v = values[min(bisect.bisect_right(bp, u), len(values)) - 1]
+            r1[k] = r1.get(k, 0) + v
+            r2[k] = r2.get(k, 0) + v * v
+    ks = [k for k in sorted(r1) if r1[k] != 0]
+    return (np.array(ks, dtype=np.int64),
+            np.array([amp * float(r1[k]) for k in ks], dtype=float),
+            np.array([(amp * amp) * float(r2[k]) for k in ks], dtype=float))
 
 
 def assert_scan_matches_unique(values, basis, levels):
@@ -418,8 +453,8 @@ def _gapped_runs(level, fracs, gaps=(1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1, 6, 1)):
 # Runs of occupied bins whose bases are 1..6 apart: the translates that
 # neighbouring runs reach overlap (spline), touch, or leave translates no
 # bin reaches between them; a point on the lattice (frac 0) also reaches
-# the closed end of a support, and the point -1e-17 lies in the near band,
-# where the float assignment rounds its frac up to 1.
+# the closed end of a support, and the point -1e-17 lies in bin -1, so
+# close to the lattice point 0 that a float t - floor(t) rounds to 1.
 for _level in (0, 5, 12):
     _SCAN_CASES[f"gapped runs off the lattice at level {_level}"] = (
         _gapped_runs(_level, [0.3, 0.7]))
@@ -427,6 +462,16 @@ for _level in (0, 5, 12):
     _SCAN_CASES[f"gapped runs on the lattice at level {_level}"] = _on
     _SCAN_CASES[f"gapped runs with frac 1 at level {_level}"] = np.append(
         _on, -1e-17 * 2.0 ** -_level)
+
+
+# near the half-integers of 2^j x, on them and off them, at level 0; the
+# rational oracle test scales them to each level
+_ORACLE_POINTS = np.array([
+    1e-17, -1e-17, 2.0 ** -53, -(2.0 ** -53), 0.5 - 2.0 ** -54,
+    1.0 - 2.0 ** -53, 1.5 - 2.0 ** -52, 2.0 - 2.0 ** -51,
+    0.0, 0.3, 0.75, 1.0])
+_WIDE_PSI = StepFunction(np.arange(-6, 6) / 2.0, np.array(
+    [1, -2, 3, -1, 0.5, -0.5, 2, -3, 0.125, 1, -0.625]))
 
 
 def _ulps_from(value, steps):
@@ -485,16 +530,19 @@ class TestLevelScan:
         assert_scan_matches_unique(x, basis, range(-1, j0 + 1))
 
     def test_offset_reaching_the_far_end_of_the_support(self, spline):
-        # the spline wavelet lives on [-1, 2]; frac = 1e-17 gives u = frac + 2
-        # == 2.0 and u = frac - 1 == -1.0 after rounding, so the observation
-        # meets four translates, among them the one two below its base.
-        # Translate 0 takes +1 from the observation near 0 and -1 from
-        # 0.75, so its sum is exactly zero and the scan leaves it out.
+        # the spline wavelet lives on [-1, 2] and takes the values -1/8,
+        # -1/8, 1, -1, 1/8, 1/8 on its half-unit pieces.  1e-17 meets
+        # translate 0 at 1, translate -1 at 1/8 and translate 1 at -1/8,
+        # and lies past the closed end of translate -2; 0.75 meets the
+        # same three at -1, 1/8 and -1/8.  Translate 0's sum is exactly
+        # zero, so the scan leaves it out.
         x = np.array([1e-17, 0.75])
-        ((ks, _, _),) = estimator._level_stats(x, spline, [0])
-        assert ks.tolist() == [-2, -1, 1]
+        ((ks, s1, s2),) = estimator._level_stats(x, spline, [0])
+        assert ks.tolist() == [-1, 1]
+        assert s1.tolist() == [0.25, -0.25]
+        assert s2.tolist() == [1 / 32, 1 / 32]
         k_ref, s1_ref, _ = unique_level_stats(x, spline, 0)
-        assert k_ref.tolist() == [-2, -1, 0, 1]
+        assert k_ref.tolist() == [-1, 0, 1]
         assert s1_ref[k_ref == 0].tolist() == [0.0]
 
     def test_cell_whose_terms_cancel_is_left_out(self, haar):
@@ -527,7 +575,7 @@ class TestLevelScan:
     def test_matches_unique_reference_on_adversarial_samples(
             self, basis_name, haar, spline, data, level):
         # points at and within 4 ulps of the breakpoints m / 2^(j+1),
-        # |m| <= 8, of a drawn level j, where the float frac - c can round
+        # |m| <= 8, of a drawn level j, where a float 2^j x - k can round
         # onto another piece or the closed end, among zeros, tiny values
         # and subnormals; every level is scanned, the drawn one and others
         basis = haar if basis_name == "haar" else spline
@@ -557,16 +605,35 @@ class TestLevelScan:
             assert np.array_equal(s1_2, 2.0 * s1), j
             assert np.array_equal(s2_2, 2.0 * s2), j
 
+    @pytest.mark.parametrize("basis_name", ["haar", "spline", "wide"])
+    @pytest.mark.parametrize("level", [-1, 0, 5, 12])
+    def test_matches_the_rational_oracle(self, basis_name, level, haar,
+                                         spline):
+        # points within a few ulps of the half-integers of 2^j x, where a
+        # float 2^j x - k can round onto another piece or a closed end.
+        # The "wide" wavelet lives on [-3, 2.5], so an observation meets
+        # translates up to five below its own: the scan takes any support.
+        basis = {"haar": haar, "spline": spline,
+                 "wide": dataclasses.replace(haar, name="wide",
+                                             psi=_WIDE_PSI)}[basis_name]
+        x = np.sort(np.ldexp(_ORACLE_POINTS, -max(level, 0)))
+        (got,) = estimator._level_stats(x, basis, [level])
+        want = fraction_level_stats(x, basis, level)
+        for name, g, w in zip(("ks", "s1", "s2"), got, want):
+            assert g.dtype == w.dtype, name
+            assert np.array_equal(g, w), name
+
     @pytest.mark.parametrize("breakpoints, values", [
-        ([0.0, 2.0, 4.0], [1.0, -1.0]),  # offsets -4..1
-        ([0.0, 2.0], [1.0])],            # one piece 2 wide
-        ids=["offsets", "width"])
+        ([0.0, 2.0, 4.0], [1.0, -1.0]),
+        ([0.0, 2.0], [1.0])],
+        ids=["two pieces", "one piece"])
     def test_analysis_function_beyond_the_scan_rejected(
             self, haar, breakpoints, values):
+        # bins index whole pieces, so a piece may be at most 1 wide
         basis = dataclasses.replace(
             haar, name="other",
             psi=StepFunction(np.array(breakpoints), np.array(values)))
-        with pytest.raises(ValueError, match="needs an analysis function"):
+        with pytest.raises(ValueError, match="pieces of width 1 or less"):
             coefficient_table(Sample.from_data([0.1, 0.7]), EstimatorConfig(
                 basis=basis, mode=practical(), j0_override=0))
 
@@ -577,9 +644,9 @@ class TestLevelScan:
         passes = []
         cell_sums = estimator._cell_sums
 
-        def counted(x, step_fn, levels):
+        def counted(n, step_fn, levels):
             passes.insert(0, levels)
-            return cell_sums(x, step_fn, levels)
+            return cell_sums(n, step_fn, levels)
 
         monkeypatch.setattr(estimator, "_cell_sums", counted)
         return passes
