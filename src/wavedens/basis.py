@@ -353,28 +353,43 @@ def level_function(basis: BiorthogonalBasis, j: int, *,
             2.0 ** (j / 2.0), 2.0 ** j)
 
 
-def _eval_dilated(basis, idx, x, synthesis):
-    j, k = idx
-    fn, amp, scale = level_function(basis, j, synthesis=synthesis)
-    xv = np.asarray(x, dtype=float)
-    out = amp * fn.eval(scale * xv - k)
-    return float(out) if xv.ndim == 0 else out
-
-
 def eval_decomposition(basis: BiorthogonalBasis, idx, x):
     """Analysis-side evaluation: ``phi(x - k)`` at level -1, else
-    ``2**(j/2) * psi(2**j x - k)``.  An exact step-function lookup of the
-    float argument ``2**j x - k``, which can round onto a closed end:
-    x = 1e-17 on the spline wavelet at level 0 and k = -2 reads 1/8 where
-    the exact value is 0.  The level scan's exact dyadic bins, not this
-    function, define the empirical coefficients."""
-    return _eval_dilated(basis, idx, x, synthesis=False)
+    ``2**(j/2) * psi(2**j x - k)``, exactly, and NaN at a NaN point.
+
+    The piece comes from the integer bin ``B = floor(2^(j+m) x)`` of the
+    function's pieces of width 2^-m, as in the level scan: x lies in piece
+    ``B - 2^m k - first`` when that is a piece, and a point on its bin's
+    left end also meets the closed right end of the last piece.  The
+    float ``2**j x - k`` is never formed, so no rounding moves x onto
+    another piece or a closed end.  ``2^(j+m) x`` and the bin are exact
+    while they stay below 2^53, as the scan's guard keeps them."""
+    j, k = idx
+    fn, amp, scale = level_function(basis, j)
+    _, _, per, first = fn._lattice  # per = 2^m
+    if per < 1.0:
+        raise ValueError("exact evaluation needs an analysis function with "
+                         "pieces of width 1 or less")
+    xv = np.asarray(x, dtype=float)
+    y = xv * (scale * per)
+    bins = np.floor(y)
+    pieces = len(fn.values)
+    piece = bins - (per * k + first)
+    piece = piece - ((y == bins) & (piece == pieces))  # the closed end
+    inside = (piece >= 0) & (piece < pieces)
+    values = fn.values[np.where(inside, piece, 0).astype(np.intp)]
+    out = amp * np.where(inside, values, np.where(np.isnan(xv), np.nan, 0.0))
+    return float(out) if xv.ndim == 0 else out
 
 
 def eval_reconstruction(basis: BiorthogonalBasis, idx, x):
     """Synthesis-side evaluation via the dual functions (tabulated lookup
     with linear interpolation for the spline pair, exact for Haar)."""
-    return _eval_dilated(basis, idx, x, synthesis=True)
+    j, k = idx
+    fn, amp, scale = level_function(basis, j, synthesis=True)
+    xv = np.asarray(x, dtype=float)
+    out = amp * fn.eval(scale * xv - k)
+    return float(out) if xv.ndim == 0 else out
 
 
 def sup_norm(basis: BiorthogonalBasis, idx) -> float:

@@ -25,6 +25,7 @@ tuning constant.  ``practical`` is ``practical-gamma`` at g = 1, and a
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -565,30 +566,120 @@ def coefficient_table(sample: Sample, config: EstimatorConfig) -> CoefficientTab
 def eval_ascending(fn, grid) -> np.ndarray:
     """``fn`` at the points of ``grid``, of any shape and order (a scalar
     gives a 0-d array), and NaN at a NaN point.  ``fn`` maps an ascending
-    1-D array to a new array of its values there; a grid that is not
-    ascending is sorted for it (stably, NaN last) and its values are put
-    back in the grid's order, so every order of the same points gives the
-    same values bit for bit."""
+    1-D array to a new array whose last axis holds the values there; the
+    result keeps the leading axes and puts the grid's shape in place of
+    the last.  A grid that is not ascending is sorted for it (stably, NaN
+    last) and its values are put back in the grid's order, so every order
+    of the same points gives the same values bit for bit."""
     x = np.asarray(grid, dtype=float)
     shape, x = x.shape, x.ravel()
 
     def values(xs):
         out = fn(xs)
-        out[np.searchsorted(xs, np.nan):] = np.nan  # NaN sorts last
+        out[..., np.searchsorted(xs, np.nan):] = np.nan  # NaN sorts last
         return out
 
     if np.all(x[1:] >= x[:-1]):
-        return values(x).reshape(shape)
-    order = np.argsort(x, kind="stable")
-    out = np.empty_like(x)
-    out[order] = values(x[order])
-    return out.reshape(shape)
+        out = values(x)
+    else:
+        order = np.argsort(x, kind="stable")
+        ascending = values(x[order])
+        out = np.empty_like(ascending)
+        out[..., order] = ascending
+    return out.reshape(out.shape[:-1] + shape)
 
 
-# Points per synthesis lookup.  It bounds the lookup's temporaries, and
-# a replication of the calibrate study (n = 1024) needs at most about
-# 9,200 points per level, so there each level takes one lookup.
+# Points per synthesis lookup.  It bounds the lookup's temporaries.  A
+# replication of the calibrate study (n = 1024) looks up about 5,000
+# father and 28,000 wavelet points, so its wavelet lookup takes two
+# chunks; caps of 2^14 to 2^16 time alike there.
 _LOOKUP_POINTS = 2 ** 14
+
+
+def _evaluate_rows(estimates, grid) -> np.ndarray:
+    """The estimates on ``grid`` as one block: row i is
+    ``estimates[i].evaluate(grid)`` bit for bit, and the block's shape is
+    ``(len(estimates), *grid.shape)``.
+
+    Each kept cell is looked up once however many rows keep it, and each
+    distinct (j, k, value) term is added once into all the rows that keep
+    it.  Every row still adds its own terms in (j, k) order, so its values
+    do not depend on the other rows."""
+    return eval_ascending(lambda x: _rows_ascending(estimates, x), grid)
+
+
+def _rows_ascending(estimates, x: np.ndarray) -> np.ndarray:
+    """:func:`_evaluate_rows` on the ascending points ``x``."""
+    out = np.zeros((len(estimates), len(x)))
+    by_basis = {}
+    for i, est in enumerate(estimates):
+        by_basis.setdefault(est.basis, []).append(i)
+    for basis, rows in by_basis.items():
+        # (j, k) -> {value: the rows that keep it, ascending}
+        terms = {}
+        for i in rows:
+            for j, k, value, _ in estimates[i].kept:
+                terms.setdefault((j, k), {}).setdefault(value, []).append(i)
+        cells = sorted(terms)
+        # the father row's cells, then the wavelet levels' ((j, k) sorts
+        # below (0,) iff j = -1): each synthesis function takes its own
+        # lookups
+        split = bisect.bisect_left(cells, (0,))
+        for part in (cells[:split], cells[split:]):
+            if part:
+                _add_cells(out, x, basis, part, terms)
+    for i, est in enumerate(estimates):
+        if est.positive_part:
+            np.maximum(out[i], 0.0, out=out[i])
+    return out
+
+
+def _add_cells(out: np.ndarray, x: np.ndarray, basis, cells, terms) -> None:
+    """Add the terms of ``cells``, (j, k) ascending on one synthesis
+    function, into the rows of ``out`` on the ascending points ``x``.
+    The supports are one vector, and the cells' arguments
+    ``scale * x - k`` over their runs of points take one lookup, end to
+    end, per ``_LOOKUP_POINTS`` points.  A term goes into a slice of rows
+    when they are contiguous, as the kept sets of nested rules are."""
+    levels = {j: level_function(basis, j, synthesis=True)
+              for j in {j for j, _ in cells}}
+    fn = levels[cells[0][0]][0]
+    ks = np.array([k for _, k in cells])
+    scales = np.array([levels[j][2] for j, _ in cells])
+    a, b = fn.support
+    windows = [
+        (j, k, c0, c1) for (j, k), c0, c1 in zip(
+            cells,
+            np.searchsorted(x, (a + ks) / scales, side="left").tolist(),
+            np.searchsorted(x, (b + ks) / scales, side="right").tolist())
+        if c1 > c0]
+    while windows:
+        # the next cells that fit in _LOOKUP_POINTS points, one at least
+        take, points = 0, 0
+        for _, _, c0, c1 in windows:
+            if take and points + c1 - c0 > _LOOKUP_POINTS:
+                break
+            take, points = take + 1, points + c1 - c0
+        group, windows = windows[:take], windows[take:]
+        sizes = [c1 - c0 for _, _, c0, c1 in group]
+        args = np.concatenate([x[c0:c1] for _, _, c0, c1 in group])
+        args *= np.repeat([levels[j][2] for j, _, _, _ in group], sizes)
+        args -= np.repeat([k for _, k, _, _ in group], sizes)
+        values = fn.eval(args)
+        end = 0
+        for (j, k, c0, c1), size in zip(group, sizes):
+            end += size
+            cell = values[end - size:end]
+            amp = levels[j][1]
+            for value, rows in terms[j, k].items():
+                # an integer index adds fastest, then a slice
+                if len(rows) == 1:
+                    at = rows[0]
+                elif rows[-1] - rows[0] == len(rows) - 1:
+                    at = slice(rows[0], rows[-1] + 1)
+                else:
+                    at = rows
+                out[at, c0:c1] += (value * amp) * cell
 
 
 @dataclass(frozen=True)
@@ -633,65 +724,13 @@ class DensityEstimate:
                 max(reconstruction_support(self.basis, (j, rows[-1].k))[1]
                     for j, rows in self._levels))
 
-    def evaluate(self, grid, *, cells: Optional[dict] = None) -> np.ndarray:
+    def evaluate(self, grid) -> np.ndarray:
         """Pointwise reconstruction on ``grid``, clipped at zero when the
         estimate carries the positive-part flag.  Exactly zero outside the
-        kept reconstruction supports, and NaN at a NaN point.
-
-        ``cells`` is a cache handle, not an option: a dict that keeps each
-        kept cell's synthesis values on these points, ``cells[basis][j, k]``,
-        so that estimates evaluated on the same points compute each cell
-        once.  Pass it only with the points it was filled on; ``None``
-        keeps nothing.  The values do not depend on it.
-        """
-        return eval_ascending(lambda x: self._evaluate_ascending(x, cells),
-                              grid)
-
-    def _evaluate_ascending(self, x: np.ndarray, cells) -> np.ndarray:
-        memo = None if cells is None else cells.setdefault(self.basis, {})
-        out = np.zeros_like(x)
-        for j, rows in self._levels:
-            # without a memo, a level's cells live while it is added
-            level = {} if memo is None else memo
-            new = [row.k for row in rows if (j, row.k) not in level]
-            if new:
-                self._add_cells(level, x, j, np.array(new))
-            # each kept cell touches one run of the ascending points
-            for row in rows:
-                i0, i1, amp, values = level[j, row.k]
-                out[i0:i1] += (row.value * amp) * values
-        if self.positive_part:
-            np.maximum(out, 0.0, out=out)
-        return out
-
-    def _add_cells(self, cells: dict, x: np.ndarray, j: int, ks):
-        """Put the synthesis values of level j's cells ``ks`` on the
-        ascending points ``x`` into ``cells``, keyed by ``(j, k)``: the
-        supports as vectors, and one lookup of the cells' arguments
-        ``scale * x - k`` over their runs of points, end to end, per
-        ``_LOOKUP_POINTS`` points."""
-        fn, amp, scale = level_function(self.basis, j, synthesis=True)
-        lo, hi = reconstruction_support(self.basis, (j, ks))
-        windows = list(zip(ks.tolist(),
-                           np.searchsorted(x, lo, side="left").tolist(),
-                           np.searchsorted(x, hi, side="right").tolist()))
-        while windows:
-            # the next cells that fit in _LOOKUP_POINTS points, one at least
-            take, points = 0, 0
-            for _, c0, c1 in windows:
-                if take and points + c1 - c0 > _LOOKUP_POINTS:
-                    break
-                take, points = take + 1, points + c1 - c0
-            group, windows = windows[:take], windows[take:]
-            args = np.concatenate([x[c0:c1] for _, c0, c1 in group])
-            args *= scale
-            args -= np.repeat([k for k, _, _ in group],
-                              [c1 - c0 for _, c0, c1 in group])
-            values = fn.eval(args)
-            end = 0
-            for k, c0, c1 in group:
-                end += c1 - c0
-                cells[j, k] = c0, c1, amp, values[end - (c1 - c0):end]
+        kept reconstruction supports, and NaN at a NaN point.  The sum
+        adds the kept terms in (j, k) order; it is the one-row block of
+        :func:`_evaluate_rows`."""
+        return _evaluate_rows([self], grid)[0, ...]
 
     def to_json_dict(self) -> dict:
         return {

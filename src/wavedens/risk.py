@@ -7,9 +7,10 @@ trapezoidal integral of the squared difference on a uniform grid, plus an
 analytic remainder for the squared-density mass outside the grid.  A score
 that is not finite raises: no sweep reports an infinite or NaN error.  A grid
 memoizes what depends on it alone (its points, each signal's pdf and
-remainder there, each synthesis cell's values there), and a replication
-scores all methods whose grids are equal on one grid object, so that work
-is done once per replication.  Sweeps run seeded replications:
+remainder there), and a replication scores all methods whose grids are
+equal on one grid object, so that work is done once per replication.  The
+wavelet estimates scored on one grid are evaluated there as one block,
+which looks up each kept cell once and adds each term once.  Sweeps run seeded replications:
 replication ``i`` of a study with master seed ``s`` always draws from the
 generator seeded by ``(s, i)``, so results are bit-identical regardless
 of execution order, and every method inside a replication sees the
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import kernel as kernel_mod
 from .basis import basis_by_name
-from .estimator import (DensityEstimate, EstimatorConfig, Mode, estimate,
-                        practical, practical_gamma)
+from .estimator import (DensityEstimate, EstimatorConfig, Mode,
+                        _evaluate_rows, estimate, practical, practical_gamma)
 from .signals import TestSignal, mixture_gd, mixture_hk
 
 __all__ = [
@@ -61,9 +62,9 @@ class GridSpec:
     point count or end overflows, raise ``ValueError``.
 
     The grid memoizes what depends on it alone: its points, each signal's
-    pdf and tail term on them, and the synthesis cells that :func:`ise`
-    evaluates there.  The memo takes no part in comparing, hashing or
-    printing a grid, and dies with it."""
+    pdf and tail term on them, and the values of the wavelet estimates
+    queued on it that :func:`ise` has not read yet.  The memo takes no
+    part in comparing, hashing or printing a grid, and dies with it."""
 
     lo: float
     hi: float
@@ -113,6 +114,27 @@ class GridSpec:
             self._memo[key] = f, signal.tail_sq_upper(self.lo, self.hi)
         return self._memo[key]
 
+    def _wavelet_values(self, est: DensityEstimate) -> np.ndarray:
+        """``est`` on the points, in an array the caller owns.
+
+        A replication queues the wavelet estimates it scores on this grid
+        in the memo's ``"wavelets"`` list.  An estimate whose values the
+        memo lacks is evaluated in one block with the queued estimates, in
+        their order, up to ``MAX_GRID_POINTS`` values and one row at the
+        least (:func:`~wavedens.estimator._evaluate_rows`).  The memo
+        keeps each other row until a call for its estimate takes it, so a
+        later call for the same estimate evaluates it again."""
+        rows = self._memo.setdefault("rows", {})
+        if id(est) not in rows:
+            queue = self._memo.setdefault("wavelets", [])
+            others = [e for e in queue if e is not est]
+            size = max(1, MAX_GRID_POINTS // self.npoints)
+            block, queue[:] = [est, *others[:size - 1]], others[size - 1:]
+            # each row keeps its estimate alive, so no other takes its id
+            for e, row in zip(block, _evaluate_rows(block, self.points())):
+                rows[id(e)] = e, row
+        return rows.pop(id(est))[1]
+
 
 def _required_interval(signal: TestSignal, estimates) -> tuple[float, float]:
     """The signal's effective support joined with every estimate's
@@ -153,10 +175,11 @@ def ise(est, signal: TestSignal, grid: GridSpec) -> float:
     evaluated on the grid.  Every other case takes the grid.
 
     The signal's pdf and tail term come from the grid's memo, and a
-    :class:`DensityEstimate` reads and fills the memo's synthesis cells,
-    so estimates scored on one grid object share that work.  The value
-    does not depend on what the memo already holds.  A value that is not
-    finite raises ``ValueError`` naming the signal, the value and the grid.
+    :class:`DensityEstimate` takes its values from the grid's block of
+    queued wavelet estimates, so estimates scored on one grid object share
+    that work.  The value does not depend on what the memo already holds.
+    A value that is not finite raises ``ValueError`` naming the signal,
+    the value and the grid.
     """
     req_lo, req_hi = _required_interval(signal, [est])
     tol = 1e-9
@@ -173,7 +196,7 @@ def ise(est, signal: TestSignal, grid: GridSpec) -> float:
         x = grid.points()
         f, tail = grid._signal_terms(signal)
         if isinstance(est, DensityEstimate):
-            fhat = est.evaluate(x, cells=grid._memo.setdefault("cells", {}))
+            fhat = grid._wavelet_values(est)
         else:  # another estimate's values are not ours to overwrite
             fhat = np.array(est.evaluate(x), dtype=float)
         np.subtract(f, fhat, out=fhat)  # (f - fhat)^2 in place
@@ -291,16 +314,18 @@ def replication_seed(master_seed: int, rep: int) -> np.random.SeedSequence:
 
 def _run_replication(signal, n, methods, master_seed, rep):
     """One replication: one sample and its level scans, one ISE per method.
-    Methods whose grids are equal score on one grid object, so they share
-    its memo."""
+    Every method is fitted first.  Methods whose grids are equal score on
+    one grid object, so they share its memo, and the wavelet estimates
+    are queued on their grid, in method order, for its block."""
     sample = signal.sample(replication_seed(master_seed, rep), n)
-    grids = {}
-    out = []
-    for m in methods:
-        est = m.fit(sample)
+    grids, scored = {}, []
+    for est in [m.fit(sample) for m in methods]:
         grid = default_grid(signal, [est])
-        out.append(ise(est, signal, grids.setdefault(grid, grid)))
-    return out
+        grid = grids.setdefault(grid, grid)
+        if isinstance(est, DensityEstimate):
+            grid._memo.setdefault("wavelets", []).append(est)
+        scored.append((est, grid))
+    return [ise(est, signal, grid) for est, grid in scored]
 
 
 def mise_sweep(signal: TestSignal, n: int, methods: Sequence[MethodSpec],

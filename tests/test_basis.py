@@ -1,10 +1,14 @@
 """Tests for the biorthogonal wavelet families."""
 
 import hashlib
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavedens.basis import (
@@ -15,6 +19,7 @@ from wavedens.basis import (
     basis_by_name,
     eval_decomposition,
     eval_reconstruction,
+    level_function,
     reconstruction_support,
     sup_norm,
 )
@@ -95,6 +100,48 @@ class TestStepFunction:
         # 3 * x^2/2 on [0,2] -> 6; 3 * x^3/3 on [0,2] -> 8
         assert f.moment(1) == 6.0
         assert f.moment(2) == 8.0
+
+
+def _exact_decomposition(basis, j, k, x):
+    """``amp * f(scale * x - k)`` with the argument in rational arithmetic:
+    pieces closed on the left, the last one also on the right."""
+    fn, amp, scale = level_function(basis, j)
+    bp = [Fraction(b) for b in fn.breakpoints.tolist()]
+    u = Fraction(x) * Fraction(scale) - k
+    for lo, hi, value in zip(bp, bp[1:], fn.values.tolist()):
+        if lo <= u < hi or u == hi == bp[-1]:
+            return amp * value
+    return 0.0
+
+
+class TestDecomposition:
+    def test_points_a_float_argument_rounds_onto_a_closed_end(self, haar,
+                                                              spline):
+        # 2^0 * 1e-17 + 2 rounds to 2.0, the spline wavelet's closed right
+        # end, and -1e-17 - 0 lies left of the Haar wavelet's support
+        assert eval_decomposition(spline, (0, -2), 1e-17) == 0.0
+        assert eval_decomposition(haar, (0, 0), -1e-17) == 0.0
+        assert eval_decomposition(spline, (0, -1), 1e-17) == 0.125
+        assert eval_decomposition(haar, (0, -1), 0.0) == -1.0
+
+    @pytest.mark.parametrize("basis_name", ["haar", "spline"])
+    @settings(max_examples=300)
+    @given(j=st.integers(-1, 12), k=st.integers(-8, 8),
+           breakpoint=st.integers(0, 6), ulps=st.integers(-3, 3),
+           tiny=st.sampled_from([0.0, 1e-17, -1e-17, 2.0 ** -1074]))
+    def test_matches_rational_evaluation_near_breakpoints(
+            self, basis_name, haar, spline, j, k, breakpoint, ulps, tiny):
+        basis = haar if basis_name == "haar" else spline
+        # a point within a few ulps of where 2^j x - k meets a breakpoint
+        fn, _, scale = level_function(basis, j)
+        b = float(fn.breakpoints[breakpoint % len(fn.breakpoints)])
+        x = (b + k) / scale + tiny
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        assert eval_decomposition(basis, (j, k), x) == _exact_decomposition(
+            basis, j, k, x)
+        assert eval_decomposition(basis, (j, k), np.array([x]))[0] == (
+            _exact_decomposition(basis, j, k, x))
 
 
 class TestBasisByName:

@@ -1,6 +1,7 @@
 """Tests for the thresholding estimator core."""
 
 import bisect
+import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -936,9 +937,10 @@ class TestEvaluate:
         assert est.support_hull() is first
         assert calls == []
 
-    def test_cell_cache_changes_no_value(self, spline, haar, rng):
-        # rules sharing one cache on one grid give the values each gets
-        # alone, on an ascending and on a shuffled grid
+    def test_block_changes_no_value(self, spline, haar, rng):
+        # rules evaluated as one block give the values each gets alone,
+        # on an ascending and on a shuffled grid, and the block looks up
+        # each kept cell once on the points of its window
         sample = Bumps().sample(9, 1024)
         x = np.linspace(-1.0, 2.0, 3001)
         for basis in (spline, haar):
@@ -946,28 +948,62 @@ class TestEvaluate:
                     for mode in (practical(), practical_gamma(0.25),
                                  theoretical_gamma(0.5))]
             for grid in (x, x[rng.permutation(len(x))]):
-                cells = {}
-                for est in fits:
-                    got = est.evaluate(grid, cells=cells)
-                    assert got.tobytes() == est.evaluate(grid).tobytes()
-                assert list(cells) == [basis]
-                assert len(cells[basis]) == len({(r.j, r.k) for est in fits
-                                                 for r in est.kept})
+                with _counted_lookups(basis) as looked_up:
+                    block = estimator._evaluate_rows(fits, grid)
+                assert block.shape == (len(fits), len(grid))
+                for est, row in zip(fits, block):
+                    assert row.tobytes() == est.evaluate(grid).tobytes()
+                cells = {(r.j, r.k) for est in fits for r in est.kept}
+                assert sum(looked_up) == sum(
+                    _window_size(basis, cell, x) for cell in cells)
+
+
+def _window_size(basis, cell, x):
+    """How many of the points ``x`` the closed support of ``cell`` holds."""
+    lo, hi = reconstruction_support(basis, cell)
+    return int(np.count_nonzero((x >= lo) & (x <= hi)))
+
+
+@contextlib.contextmanager
+def _counted_lookups(basis):
+    """Yield a list that receives the size of each lookup of ``basis``'s
+    synthesis functions, in order, while the block runs."""
+    sizes = []
+    functions = (basis.phi_tilde, basis.psi_tilde)
+    cls = type(basis.psi_tilde)
+    original = cls.eval
+
+    def counted(self, x):
+        if any(self is fn for fn in functions):
+            sizes.append(np.size(x))
+        return original(self, x)
+
+    cls.eval = counted
+    try:
+        yield sizes
+    finally:
+        cls.eval = original
 
 
 def _ordered_sum(est, grid):
     """The estimate on ``grid`` as the (j, k)-ordered sum of its synthesis
-    terms over every point, each term scaled as ``(value * amp) * f``."""
+    terms, each scaled as ``(value * amp) * f`` on the points of its
+    closed support.  A point off the support whose float argument
+    ``scale * x - k`` rounds onto its end gets nothing from the term."""
     out = np.zeros(len(grid))
     for row in est.kept:
         fn, amp, scale = level_function(est.basis, row.j, synthesis=True)
-        out += (row.value * amp) * fn.eval(scale * grid - row.k)
+        lo, hi = reconstruction_support(est.basis, (row.j, row.k))
+        at = (grid >= lo) & (grid <= hi)
+        out[at] += (row.value * amp) * fn.eval(scale * grid[at] - row.k)
     return np.maximum(out, 0.0) if est.positive_part else out
 
 
-class TestLevelLookups:
-    """The kept cells missing from the memo are looked up level by level;
-    the values equal the term-by-term sum bit for bit."""
+class TestBlock:
+    """A block of estimates looks up its kept cells once per synthesis
+    function and lookup chunk, and adds each distinct term once into the
+    rows that keep it; every row equals the term-by-term sum bit for
+    bit."""
 
     @staticmethod
     def _fits(basis):
@@ -983,12 +1019,13 @@ class TestLevelLookups:
     def test_equals_ordered_sum_of_terms(self, basis_name, bounds, points,
                                          haar, spline, monkeypatch):
         # grids narrower than the hull leave some kept cells no point; a
-        # small lookup cap splits each level's lookup, and a cell wider
+        # small lookup cap splits each function's lookup, and a cell wider
         # than the cap takes one of its own
         basis = haar if basis_name == "haar" else spline
         if points is not None:
             monkeypatch.setattr(estimator, "_LOOKUP_POINTS", points)
-        for est in self._fits(basis):
+        fits = self._fits(basis)
+        for est in fits:
             lo, hi = est.support_hull() if bounds is None else bounds
             grid = np.linspace(lo - 0.25, hi + 0.25, 4001)
             missed = [row for row in est.kept
@@ -999,44 +1036,77 @@ class TestLevelLookups:
             assert bool(missed) == (bounds is not None)
             want = _ordered_sum(est, grid)
             assert est.evaluate(grid).tobytes() == want.tobytes()
-            assert est.evaluate(grid, cells={}).tobytes() == want.tobytes()
+            block = estimator._evaluate_rows(fits, grid)
+            assert block[fits.index(est)].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("basis_name", ["haar", "spline"])
-    def test_memo_filled_by_another_rule(self, basis_name, haar, spline):
-        # a memo that other rules filled first holds some of this rule's
-        # cells and lacks others; the values do not change
+    def test_rows_that_share_some_cells(self, basis_name, haar, spline):
+        # each rule keeps some of another rule's cells and not others; in
+        # either order of the rows the values do not change
         basis = haar if basis_name == "haar" else spline
         fits = self._fits(basis)
         grid = np.linspace(-0.5, 1.5, 2049)
         for order in (fits, fits[::-1]):
-            cells = {}
-            for est in order:
-                before = set(cells.get(basis, ()))
-                got = est.evaluate(grid, cells=cells)
-                assert got.tobytes() == _ordered_sum(est, grid).tobytes()
-                assert set(cells[basis]) == before | {(r.j, r.k)
-                                                      for r in est.kept}
+            for est, row in zip(order, estimator._evaluate_rows(order, grid)):
+                assert row.tobytes() == _ordered_sum(est, grid).tobytes()
         theirs = {(r.j, r.k) for r in fits[0].kept}
         mine = {(r.j, r.k) for r in fits[1].kept}
         assert mine & theirs and mine - theirs
 
-    def test_one_lookup_per_level(self, spline, monkeypatch):
-        est = self._fits(spline)[2]
-        grid = np.linspace(-0.5, 1.5, 2049)
-        calls = []
-        tab_eval = TabulatedFunction.eval
+    def test_one_lookup_per_function(self, spline, monkeypatch):
+        fits = self._fits(spline)
+        grid = np.linspace(-0.5, 1.5, 1025)
+        levels = {row.j for est in fits for row in est.kept}
+        assert min(levels) == -1 and len(levels) > 2
+        with _counted_lookups(spline) as sizes:
+            estimator._evaluate_rows(fits, grid)
+        # the father row and the wavelet levels: one lookup each, of each
+        # kept cell's window once
+        assert len(sizes) == 2 < len(levels)
+        cells = {(r.j, r.k) for est in fits for r in est.kept}
+        assert sum(sizes) == sum(_window_size(spline, cell, grid)
+                                 for cell in cells)
+        # a cap of 700 points splits the lookups into chunks of at most
+        # that many points, or of one cell that is wider
+        monkeypatch.setattr(estimator, "_LOOKUP_POINTS", 700)
+        with _counted_lookups(spline) as chunks:
+            estimator._evaluate_rows(fits, grid)
+        assert sum(chunks) == sum(sizes) and len(chunks) > 2
+        widest = max(_window_size(spline, (r.j, r.k), grid)
+                     for est in fits for r in est.kept)
+        assert max(chunks) <= max(700, widest)
 
-        def counted(self, x):
-            calls.append(np.size(x))
-            return tab_eval(self, x)
-
-        monkeypatch.setattr(TabulatedFunction, "eval", counted)
-        cells = {}
-        est.evaluate(grid, cells=cells)
-        levels = {row.j for row in est.kept}
-        assert len(calls) == len(levels) < len(est.kept)
-        est.evaluate(grid, cells=cells)  # every cell is in the memo now
-        assert len(calls) == len(levels)
+    @settings(max_examples=60)
+    @given(data=st.data(), basis_name=st.sampled_from(["haar", "spline"]),
+           seeds=st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)),
+           n=st.integers(16, 400))
+    def test_rows_equal_ordered_sums(self, haar, spline, data, basis_name,
+                                     seeds, n):
+        # nested practical-gamma rules with the theoretical rule, which
+        # keeps the signed sum; two samples, so that one (j, k) carries
+        # two values; a row with no kept cell; rows in any order; and a
+        # grid that may be narrower than the hulls, shuffled, with a NaN
+        basis = haar if basis_name == "haar" else spline
+        modes = [practical_gamma(0.25), practical(), practical_gamma(2.0),
+                 theoretical_gamma(0.5)]
+        fits = [estimate(Sample(np.random.default_rng(seed).normal(0.5, 0.3, n)),
+                         EstimatorConfig(basis=basis, mode=mode))
+                for seed in seeds for mode in modes]
+        fits.append(_manual_estimate(basis, [], positive=True))
+        fits = data.draw(st.permutations(fits))
+        lo = data.draw(st.floats(-2.0, 1.0))
+        width = data.draw(st.floats(0.01, 4.0))
+        grid = np.linspace(lo, lo + width, data.draw(st.integers(1, 3000)))
+        if data.draw(st.booleans()):
+            grid = np.random.default_rng(seeds[0]).permutation(grid)
+        if data.draw(st.booleans()):
+            grid[data.draw(st.integers(0, len(grid) - 1))] = np.nan
+        block = estimator._evaluate_rows(fits, grid)
+        nan = np.isnan(grid)
+        for est, row in zip(fits, block):
+            assert np.isnan(row[nan]).all()
+            want = _ordered_sum(est, grid[~nan])
+            assert row[~nan].tobytes() == want.tobytes()
 
 
 def _manual_estimate(basis, rows, positive):

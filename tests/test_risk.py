@@ -12,6 +12,7 @@ from wavedens.basis import (
     TabulatedFunction,
     basis_by_name,
     haar_basis,
+    reconstruction_support,
     spline_basis,
 )
 from wavedens.estimator import (
@@ -388,22 +389,28 @@ class TestSweeps:
 
 class TestGridMemo:
     """A replication scores every method on one grid object per distinct
-    grid, and that grid computes the pdf and each synthesis cell once, one
-    synthesis lookup per level."""
+    grid.  That grid computes the pdf once and evaluates its wavelet
+    estimates as one block, which looks up each kept cell once, in one
+    synthesis lookup per function."""
 
     def test_pdf_once_and_each_cell_once_per_replication(self, spline,
                                                          monkeypatch):
         signal, n, master, reps = Bumps(), 1024, 5, 2
         methods = TestSweeps._gamma_rules("spline")
-        sizes, cells, levels, rows = [], set(), 0, 0
+        sizes, cells, levels, rows, windows = [], set(), 0, 0, 0
         for rep in range(reps):
             sample = signal.sample(replication_seed(master, rep), n)
             fits = [estimate(sample, m.config()) for m in methods]
             (grid,) = {default_grid(signal, [est]) for est in fits}
             sizes.append(grid.npoints)
-            cells |= {(rep, row.j, row.k) for est in fits for row in est.kept}
-            levels += len({row.j for est in fits for row in est.kept})
+            mine = {(row.j, row.k) for est in fits for row in est.kept}
+            cells |= {(rep, *cell) for cell in mine}
+            levels += len({j for j, _ in mine})
             rows += sum(len(est.kept) for est in fits)
+            x = grid.points()
+            for cell in mine:
+                lo, hi = reconstruction_support(spline, cell)
+                windows += int(np.count_nonzero((x >= lo) & (x <= hi)))
         assert rows > 2 * len(cells)  # the rules keep many cells in common
 
         pdf_args, grid_points, evals = [], [], []
@@ -447,9 +454,16 @@ class TestGridMemo:
         on_grid = [np.size(x) for x in pdf_args
                    if any(x is p for p in grid_points)]
         assert on_grid == sizes
-        # one grid per replication: at most one lookup per level, fewer
-        # than one per distinct kept cell
-        assert 0 < len(evals) <= levels < len(cells)
+        # one grid and one block per replication, which looks up each kept
+        # cell's points once, in fewer lookups than levels
+        assert sum(evals) == windows
+        assert 2 * reps <= len(evals) < levels < len(cells)
+        # each synthesis function takes one lookup per chunk of at most
+        # _LOOKUP_POINTS points, so with room for all of them, one lookup
+        evals.clear()
+        monkeypatch.setattr(estimator, "_LOOKUP_POINTS", 2 ** 20)
+        mise_sweep(signal, n, methods, reps, master)
+        assert len(evals) == 2 * reps and sum(evals) == windows
         # the sampler screens its proposals before it evaluates the pdf
         assert 0 < sum(sampler_points) < 0.15 * sum(proposals)
 
@@ -486,6 +500,36 @@ class TestGridMemo:
             est = m.fit(sample)
             lone = ise(est, signal, default_grid(signal, [est]))
             assert report.ise_values[0] == lone, m.code
+
+    def test_sweep_calls_ise_once_per_method_per_replication(self,
+                                                             monkeypatch):
+        # the block changes no call: ``risk.ise``, the layer a tracer
+        # wraps, scores each method of each replication once, with that
+        # method's fit and that fit's grid
+        methods = [*resolve_methods(["S", "H", "S*", "K"]),
+                   MethodSpec("T", "wavelet", "spline", theoretical_gamma(0.5))]
+        fits, calls = [], []
+        fit, score = MethodSpec.fit, risk.ise
+
+        def recorded_fit(self, sample):
+            fits.append((self, fit(self, sample)))
+            return fits[-1][1]
+
+        def recorded_ise(est, signal, grid):
+            calls.append((est, grid, score(est, signal, grid)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(MethodSpec, "fit", recorded_fit)
+        monkeypatch.setattr(risk, "ise", recorded_ise)
+        signal, reps = mixture_gd(10), 2
+        reports = mise_sweep(signal, 256, methods, reps, 8)
+        assert [m for m, _ in fits] == methods * reps
+        assert len(calls) == len(fits)
+        for (_, est), (scored, grid, _) in zip(fits, calls):
+            assert scored is est
+            assert grid == default_grid(signal, [est])
+        assert [value for _, _, value in calls] == [
+            r.ise_values[rep] for rep in range(reps) for r in reports]
 
     def test_used_grid_compares_hashes_and_prints_as_fresh(self):
         signal = Gauss(0.5, 0.25)
