@@ -3,14 +3,18 @@
 The realized error of an estimate against an analytic signal is the
 estimate's own closed form when it offers one: a kernel estimate does
 against a mixture of normals (gd(d) and Gauss).  Otherwise it is a
-trapezoidal integral of the squared difference on a uniform grid, plus an
-analytic remainder for the squared-density mass outside the grid.  A score
-that is not finite raises: no sweep reports an infinite or NaN error.  A grid
-memoizes what depends on it alone (its points, each signal's pdf and
-remainder there), and a replication scores all methods whose grids are
-equal on one grid object, so that work is done once per replication.  The
-wavelet estimates scored on one grid are evaluated there as one block,
-which looks up each kept cell once and adds each term once.  Sweeps run seeded replications:
+trapezoidal integral of the squared difference on a uniform grid that
+covers the estimate, plus the squared-density mass outside the grid: an
+analytic upper bound when the grid covers the signal's effective support,
+else the mass itself by adaptive quadrature.  No grid is ever coarsened: a
+heavy tail whose effective support would exceed the point cap is scored on
+the estimates' hulls at the asked step, and a hull grid over the cap raises.
+A score that is not finite raises: no sweep reports an infinite or NaN
+error.  A grid memoizes what depends on it alone (its points, each signal's
+pdf and remainder there), and a replication scores all methods whose grids
+are equal on one grid object, so that work is done once per replication.
+The wavelet estimates scored on one grid are evaluated there in blocks,
+which look up each kept cell once and add each term once.  Sweeps run seeded replications:
 replication ``i`` of a study with master seed ``s`` always draws from the
 generator seeded by ``(s, i)``, so results are bit-identical regardless
 of execution order, and every method inside a replication sees the
@@ -49,6 +53,11 @@ __all__ = [
 
 MAX_GRID_POINTS = 10 ** 7
 DEFAULT_GRID_STEP = 2.0 ** -10
+# values in one block of wavelet rows evaluated on a grid (8 MB of floats)
+_BLOCK_VALUES = 2 ** 20
+# quad's error estimate for the squared mass on either side of a grid may
+# not exceed this share of that mass, nor 1e-15 when the mass is smaller
+_OUTSIDE_RTOL = 1e-8
 
 
 class GridCoverageError(ValueError):
@@ -105,13 +114,20 @@ class GridSpec:
         return self._memo["points"]
 
     def _signal_terms(self, signal: TestSignal) -> tuple:
-        """``(pdf on the points, tail_sq_upper outside [lo, hi])`` for
-        ``signal``, computed once per grid; the pdf is read-only."""
+        """``(pdf on the points, squared-density mass outside [lo, hi])``
+        for ``signal``, computed once per grid; the pdf is read-only.  A
+        grid that covers the signal's effective support takes the bound
+        ``tail_sq_upper``; any other the mass itself, by quadrature."""
         key = ("signal", signal)
         if key not in self._memo:
             f = signal.pdf(self.points())
             f.setflags(write=False)
-            self._memo[key] = f, signal.tail_sq_upper(self.lo, self.hi)
+            lo, hi = signal.effective_support
+            if self.lo <= lo and self.hi >= hi:
+                outside = signal.tail_sq_upper(self.lo, self.hi)
+            else:
+                outside = _sq_mass_outside(signal, self.lo, self.hi)
+            self._memo[key] = f, outside
         return self._memo[key]
 
     def _wavelet_values(self, est: DensityEstimate) -> np.ndarray:
@@ -120,7 +136,7 @@ class GridSpec:
         A replication queues the wavelet estimates it scores on this grid
         in the memo's ``"wavelets"`` list.  An estimate whose values the
         memo lacks is evaluated in one block with the queued estimates, in
-        their order, up to ``MAX_GRID_POINTS`` values and one row at the
+        their order, up to ``_BLOCK_VALUES`` values and one row at the
         least (:func:`~wavedens.estimator._evaluate_rows`).  The memo
         keeps each other row until a call for its estimate takes it, so a
         later call for the same estimate evaluates it again."""
@@ -128,7 +144,7 @@ class GridSpec:
         if id(est) not in rows:
             queue = self._memo.setdefault("wavelets", [])
             others = [e for e in queue if e is not est]
-            size = max(1, MAX_GRID_POINTS // self.npoints)
+            size = max(1, _BLOCK_VALUES // self.npoints)
             block, queue[:] = [est, *others[:size - 1]], others[size - 1:]
             # each row keeps its estimate alive, so no other takes its id
             for e, row in zip(block, _evaluate_rows(block, self.points())):
@@ -136,37 +152,83 @@ class GridSpec:
         return rows.pop(id(est))[1]
 
 
-def _required_interval(signal: TestSignal, estimates) -> tuple[float, float]:
-    """The signal's effective support joined with every estimate's
-    reconstruction hull: the interval an ISE grid must cover."""
-    lo, hi = signal.effective_support
-    for est in estimates:
-        hull = est.support_hull()
-        if hull is not None:
-            lo, hi = min(lo, hull[0]), max(hi, hull[1])
-    return lo, hi
+def _sq_mass_outside(signal: TestSignal, lo: float, hi: float) -> float:
+    """The integral of the squared pdf over (-inf, lo] and [hi, inf), by
+    adaptive quadrature; ``ValueError`` when quad's error estimate on
+    either side exceeds ``_OUTSIDE_RTOL`` of that side's mass (or 1e-15).
+
+    ``scipy.integrate`` is imported here: it costs about 26 MB and 0.2 s,
+    and only grids narrower than the effective support need it."""
+    from scipy.integrate import quad
+
+    def f2(t):
+        return float(signal.pdf(t)) ** 2
+
+    total = 0.0
+    for a, b in ((-math.inf, lo), (hi, math.inf)):
+        # full output: a poor estimate raises below instead of warning
+        value, err, *_ = quad(f2, a, b, epsabs=1e-15, epsrel=1e-10,
+                              limit=200, full_output=1)
+        if not err <= max(1e-15, _OUTSIDE_RTOL * value):
+            raise ValueError(f"squared mass of {signal.name} on [{a!r}, "
+                             f"{b!r}] is {value!r} with quadrature error "
+                             f"{err!r}, over the relative tolerance "
+                             f"{_OUTSIDE_RTOL!r}")
+        total += value
+    return total
+
+
+def _hull(estimates) -> Optional[tuple[float, float]]:
+    """The smallest interval holding every estimate's reconstruction hull,
+    or None when no estimate has one."""
+    hulls = [h for h in (est.support_hull() for est in estimates)
+             if h is not None]
+    if not hulls:
+        return None
+    return min(h[0] for h in hulls), max(h[1] for h in hulls)
 
 
 def default_grid(signal: TestSignal, estimates: Sequence = (),
                  step: float = DEFAULT_GRID_STEP) -> GridSpec:
-    """Grid covering the signal's effective support and every estimate's
-    reconstruction hull, padded by one unit on each side.  The step doubles
-    as needed to respect the grid-size cap (wide supports trade resolution
-    for coverage)."""
-    lo, hi = _required_interval(signal, estimates)
+    """Grid at ``step`` covering the signal's effective support and every
+    estimate's reconstruction hull, padded by one unit on each side.
+
+    When that grid would exceed ``MAX_GRID_POINTS`` (a heavy tail's
+    effective support), it covers the estimates' hulls padded by one unit,
+    with both ends moved outward onto multiples of ``step``, and :func:`ise`
+    adds the exact squared mass outside it.  The step is never coarsened:
+    when no estimate has a hull, or the hull grid would itself exceed the
+    cap, ``ValueError`` names the cap."""
+    lo, hi = signal.effective_support
+    hull = _hull(estimates)
+    if hull is not None:
+        lo, hi = min(lo, hull[0]), max(hi, hull[1])
     lo, hi = lo - 1.0, hi + 1.0
-    while (hi - lo) / step > MAX_GRID_POINTS:
-        step *= 2.0
-    return GridSpec(lo, hi, step)
+    if not (hi - lo) / step > MAX_GRID_POINTS:
+        return GridSpec(lo, hi, step)
+    over = (f"an ISE grid for {signal.name} over [{lo!r}, {hi!r}] at step "
+            f"{step!r} would exceed the {MAX_GRID_POINTS} point cap")
+    if hull is None:
+        raise ValueError(f"{over}, and no estimate has a hull to cover "
+                         f"instead")
+    span = (hull[1] - hull[0] + 2.0) / step
+    if not span <= MAX_GRID_POINTS:
+        raise ValueError(f"{over}, and so would the one over the estimates' "
+                         f"hulls +- 1, with {span + 1:.4g} points")
+    return GridSpec(math.floor((hull[0] - 1.0) / step) * step,
+                    math.ceil((hull[1] + 1.0) / step) * step, step)
 
 
 def ise(est, signal: TestSignal, grid: GridSpec) -> float:
     """Realized integrated squared error of ``est`` against ``signal``.
 
     ``est`` may be any object with ``evaluate(points)`` and
-    ``support_hull()``.  The grid must cover the union of the signal's
-    effective support and the estimate's hull; a violation raises
-    :class:`GridCoverageError` naming the uncovered interval.
+    ``support_hull()``.  The grid must cover the estimate's hull; a
+    violation raises :class:`GridCoverageError` naming the uncovered
+    interval.  Outside the hull the estimate is 0, so the error there is
+    the squared density's mass outside the grid: bounded analytically when
+    the grid covers the signal's effective support, else integrated by
+    quadrature (see :func:`default_grid`).
 
     An estimate may also offer ``exact_ise(signal)``: a closed form, or
     None when it has none that it can vouch for.  A
@@ -174,34 +236,35 @@ def ise(est, signal: TestSignal, grid: GridSpec) -> float:
     of normals, unless cancellation could have eaten it, and is then not
     evaluated on the grid.  Every other case takes the grid.
 
-    The signal's pdf and tail term come from the grid's memo, and a
+    The signal's pdf and outside mass come from the grid's memo, and a
     :class:`DensityEstimate` takes its values from the grid's block of
     queued wavelet estimates, so estimates scored on one grid object share
     that work.  The value does not depend on what the memo already holds.
     A value that is not finite raises ``ValueError`` naming the signal,
     the value and the grid.
     """
-    req_lo, req_hi = _required_interval(signal, [est])
+    hull = est.support_hull()
     tol = 1e-9
-    if grid.lo > req_lo + tol or grid.hi < req_hi - tol:
-        missing = []
-        if grid.lo > req_lo + tol:
-            missing.append(f"[{req_lo!r}, {grid.lo!r}]")
-        if grid.hi < req_hi - tol:
-            missing.append(f"[{grid.hi!r}, {req_hi!r}]")
+    missing = []
+    if hull is not None:
+        if grid.lo > hull[0] + tol:
+            missing.append(f"[{hull[0]!r}, {grid.lo!r}]")
+        if grid.hi < hull[1] - tol:
+            missing.append(f"[{grid.hi!r}, {hull[1]!r}]")
+    if missing:
         raise GridCoverageError(
             "grid does not cover required interval(s): " + ", ".join(missing))
     value = getattr(est, "exact_ise", lambda signal: None)(signal)
     if value is None:
         x = grid.points()
-        f, tail = grid._signal_terms(signal)
+        f, outside = grid._signal_terms(signal)
         if isinstance(est, DensityEstimate):
             fhat = grid._wavelet_values(est)
         else:  # another estimate's values are not ours to overwrite
             fhat = np.array(est.evaluate(x), dtype=float)
         np.subtract(f, fhat, out=fhat)  # (f - fhat)^2 in place
         fhat *= fhat
-        value = float(np.trapezoid(fhat, dx=grid.step)) + tail
+        value = float(np.trapezoid(fhat, dx=grid.step)) + outside
     if not math.isfinite(value):
         raise ValueError(f"ISE against {signal.name} is not finite ({value!r}) "
                          f"on the grid [{grid.lo!r}, {grid.hi!r}] at step "
@@ -367,7 +430,9 @@ def tail_sweep(df_values: Sequence[float], n: int,
                methods: Sequence[MethodSpec], replications: int,
                master_seed: int) -> list[RiskReport]:
     """Risk study across the tail-weight parameter of the heavy-tailed
-    mixture; grids widen (and coarsen under the point cap) automatically."""
+    mixture.  Grids widen with the tail at a fixed step; where the tail
+    would take a grid over the point cap, the grid covers the estimates'
+    hulls and the mass beyond is integrated (see :func:`default_grid`)."""
     return _parameter_sweep(df_values, mixture_hk, n, methods, replications,
                             master_seed)
 

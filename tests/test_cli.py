@@ -605,6 +605,33 @@ class TestBenchCommand:
         assert rc == 0
         assert (out / "replications_H_16.csv").exists()
 
+    @staticmethod
+    def _heavy_tail(df, methods, out):
+        return main(["bench", "--sweep", "tail", "--values", df,
+                     "--methods", methods, "--n", "1024", "--reps", "1",
+                     "--seed", "1", "-o", str(out)])
+
+    def test_cauchy_tail_scores_on_the_hulls(self, tmp_path):
+        # hk(1)'s effective support is over the grid cap; the grid covers
+        # the hulls at the default step, so S reads its reference 0.29804
+        # (a 2^-14 lattice over the hull +- 1 and quadrature beyond)
+        out = tmp_path / "tail"
+        assert self._heavy_tail("1", "S,K", out) == 0
+        rows = (out / "replications_S_1.csv").read_text().splitlines()
+        value = float(rows[1].split(",")[1])
+        assert abs(value - 0.29804) < 0.01 * 0.29804
+
+    def test_hull_over_the_cap_exit_2(self, tmp_path, capsys):
+        # at df = 0.5 the kernel's hull spans over 10^5 units: no grid at
+        # the default step fits, and the run names the cap and writes
+        # nothing; the wavelet estimate's hull alone fits
+        out = tmp_path / "tail"
+        assert self._heavy_tail("0.5", "S,K", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "10000000 point cap" in err[0]
+        assert list(out.iterdir()) == []
+        assert self._heavy_tail("0.5", "S", tmp_path / "wavelet") == 0
+
     @pytest.mark.parametrize("sweep, value, message", [
         ("support", "inf", "d must be finite, got inf"),
         ("tail", "nan", "df must be positive and finite, got nan"),

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,12 +99,37 @@ class TestGridSpec:
         g = default_grid(sig)
         assert g.lo <= -1.0 and g.hi >= 2.0
 
-    def test_default_grid_coarsens_under_cap(self):
+    def test_over_cap_grid_keeps_step_on_hulls(self):
+        # hk(2)'s effective support at 2^-10 would exceed the cap, so the
+        # grid covers the estimates' hulls +- 1, on multiples of the step
         sig = mixture_hk(2)
-        g = default_grid(sig)
-        assert g.npoints <= 10 ** 7 + 1
-        lo, hi = sig.effective_support
-        assert g.lo <= lo and g.hi >= hi
+        sample = sig.sample(replication_seed(1, 0), 1024)
+        fits = [method_from_code(c).fit(sample) for c in ("S", "K")]
+        step = risk.DEFAULT_GRID_STEP
+        for ests in ([fits[0]], fits):
+            g = default_grid(sig, ests, step=step)
+            lo = min(e.support_hull()[0] for e in ests) - 1.0
+            hi = max(e.support_hull()[1] for e in ests) + 1.0
+            assert g.step == step
+            assert g.lo == math.floor(lo / step) * step
+            assert g.hi == math.ceil(hi / step) * step
+            assert (g.lo / step).is_integer() and (g.hi / step).is_integer()
+            assert g.npoints < 10 ** 5
+        assert default_grid(sig, fits[:1]).npoints == 11265
+        empty = _haar_estimate([])
+        for ests in ((), [empty]):
+            with pytest.raises(ValueError, match=r"10000000 point cap.*no "
+                               r"estimate has a hull"):
+                default_grid(sig, ests)
+
+    def test_over_cap_hull_grid_raises_naming_the_cap(self):
+        # a Cauchy-like tail puts a kernel's hull past the cap as well
+        sig = mixture_hk(0.5)
+        est = fit_kernel(sig.sample(replication_seed(0, 0), 1024))
+        assert est.support_hull()[0] < -10 ** 6
+        with pytest.raises(ValueError, match=r"10000000 point cap, and so "
+                           r"would the one over the estimates' hulls"):
+            default_grid(sig, [est])
 
 
 class TestIse:
@@ -123,10 +152,22 @@ class TestIse:
         assert abs(ise(half, sig, grid) - 0.5) < 1e-6
 
     def test_coverage_violation_names_interval(self):
+        # the grid must cover the estimate's hull; the signal's effective
+        # support may stick out, and its squared mass there is integrated
         sig = Gauss(0.5, 0.25)
-        zero = _haar_estimate([])
-        with pytest.raises(GridCoverageError, match=r"\["):
-            ise(zero, sig, GridSpec(0.0, 1.0, 2.0 ** -10))
+        box = _haar_estimate([(-1, 0, 0.5, 0.0), (0, 0, 0.5, 0.0)])
+        assert box.support_hull() == (0.0, 1.0)
+        with pytest.raises(GridCoverageError,
+                           match=r"\[0\.0, 0\.25\]$"):
+            ise(box, sig, GridSpec(0.25, 1.0, 2.0 ** -10))
+        with pytest.raises(GridCoverageError,
+                           match=r"\[0\.0, 0\.25\], \[0\.75, 1\.0\]$"):
+            ise(box, sig, GridSpec(0.25, 0.75, 2.0 ** -10))
+        # 1 on [0, 1/2): integral f^2 - 2 (Phi(0) - Phi(-2)) + 1/2
+        exact = 1.0 / (2.0 * 0.25 * math.sqrt(math.pi)) - 2.0 * (
+            0.5 - 0.5 * math.erfc(2.0 / math.sqrt(2.0))) + 0.5
+        value = ise(box, sig, GridSpec(0.0, 1.0, 2.0 ** -20))
+        assert abs(value - exact) < 1e-5 * exact
 
     def test_grid_refinement_stability(self, spline):
         sig = Gauss(0.5, 0.25)
@@ -387,6 +428,89 @@ class TestSweeps:
         assert all(v >= 0 for v in report.ise_values)
 
 
+def _lattice_reference(est, signal, step=2.0 ** -14):
+    """The ISE of ``est`` by the trapezoid on a ``step`` lattice over its
+    hull +- 1, plus the squared density outside by quadrature: no grid
+    logic of the library's own."""
+    from scipy.integrate import quad
+
+    hull = est.support_hull()
+    i_lo = math.floor((hull[0] - 1.0) / step)
+    i_hi = math.ceil((hull[1] + 1.0) / step)
+    x = np.arange(i_lo, i_hi + 1) * step
+    inside = np.trapezoid((signal.pdf(x) - est.evaluate(x)) ** 2, dx=step)
+
+    def f2(t):
+        return float(signal.pdf(t)) ** 2
+
+    return float(inside + quad(f2, -math.inf, x[0], limit=200)[0]
+                 + quad(f2, x[-1], math.inf, limit=200)[0])
+
+
+class TestOverCapGrids:
+    """Where a heavy tail takes the grid over the point cap, the ISE is
+    taken on the estimates' hulls at the default step, plus the exact
+    squared mass beyond them."""
+
+    @pytest.mark.parametrize("df, want", [(1.0, 0.29804), (2.0, 0.16475)])
+    def test_spline_ise_matches_reference(self, df, want):
+        signal = mixture_hk(df)
+        method = method_from_code("S")
+        (report,) = mise_sweep(signal, 1024, [method], 1, 1)
+        est = method.fit(signal.sample(replication_seed(1, 0), 1024))
+        ref = _lattice_reference(est, signal)
+        assert abs(ref - want) < 5e-5 * want
+        assert abs(report.ise_values[0] - ref) < 0.01 * ref
+
+    def test_grids_that_fit_load_no_quadrature(self):
+        # the sweeps whose wide grid fits under the cap keep the analytic
+        # tail bound, so scipy.integrate (about 26 MB) stays unloaded; an
+        # hk(2) sweep loads it
+        code = ("import sys\n"
+                "from wavedens.risk import mise_sweep, resolve_methods\n"
+                "from wavedens.signals import Bumps, mixture_gd, mixture_hk\n"
+                "methods = resolve_methods(['S', 'H', 'S*', 'K'])\n"
+                "for signal in (Bumps(), mixture_gd(70)):\n"
+                "    mise_sweep(signal, 256, methods, 1, 3)\n"
+                "print(int('scipy.integrate' in sys.modules))\n"
+                "mise_sweep(mixture_hk(2), 256, methods, 1, 3)\n"
+                "print(int('scipy.integrate' in sys.modules))\n")
+        src = str(Path(risk.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
+
+    def test_outside_mass_is_memoized_with_the_pdf(self, monkeypatch):
+        signal = mixture_hk(2)
+        fits = [m.fit(signal.sample(replication_seed(1, 0), 1024))
+                for m in resolve_methods(["S", "S*"])]
+        grid = default_grid(signal, fits)
+        calls, outside = [], risk._sq_mass_outside
+
+        def counted(*args):
+            calls.append(args)
+            return outside(*args)
+
+        monkeypatch.setattr(risk, "_sq_mass_outside", counted)
+        values = [ise(est, signal, grid) for est in fits]
+        assert calls == [(signal, grid.lo, grid.hi)]
+        assert values == [ise(est, signal, GridSpec(grid.lo, grid.hi,
+                                                    grid.step))
+                          for est in fits]
+
+    def test_quadrature_error_over_tolerance_raises(self, monkeypatch):
+        import scipy.integrate
+
+        monkeypatch.setattr(scipy.integrate, "quad",
+                            lambda *args, **kwargs: (1e-3, 1e-9, {}))
+        with pytest.raises(ValueError, match="quadrature error 1e-09, over "
+                           "the relative tolerance 1e-08"):
+            risk._sq_mass_outside(mixture_hk(2), -5.0, 6.0)
+
+
 class TestGridMemo:
     """A replication scores every method on one grid object per distinct
     grid.  That grid computes the pdf once and evaluates its wavelet
@@ -469,13 +593,15 @@ class TestGridMemo:
 
     @pytest.mark.parametrize("signal, interpolates", [
         (Bumps(), False), (mixture_gd(10), False), (mixture_gd(70), False),
-        (Uniform01(), False), (mixture_hk(2), True),
-    ], ids=["bumps", "gd10", "gd70", "uniform", "hk2"])
+        (Uniform01(), False), (mixture_hk(2), False), (mixture_hk(4), True),
+    ], ids=["bumps", "gd10", "gd70", "uniform", "hk2", "hk4"])
     def test_synthesis_lookups_read_nodes_on_lattice_grids(
             self, spline, signal, interpolates, monkeypatch):
         # a default grid whose ends lie on the 2^-12 lattice puts every
-        # synthesis argument on a table node, so no lookup interpolates;
-        # hk's bracket ends are off the lattice, and there lookups do.
+        # synthesis argument on a table node, so no lookup interpolates.
+        # hk(2)'s grid covers the hulls on multiples of the step, so it
+        # reads nodes too; hk(4)'s fits under the cap and spans its t
+        # quantiles, off the lattice, and there lookups interpolate.
         # The spline fixture builds the tables before the count starts.
         interp, sizes = np.interp, []
 
